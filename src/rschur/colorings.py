@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .equations import SchurSolution, enumerate_solutions
 from .errors import ColoringParseError, DomainError, EmptyInput
-from .formulas import rs_formula, rs_weak_formula
+from .formulas import rs_weak_formula
 
 
 @dataclass(frozen=True)
@@ -175,26 +175,20 @@ def has_t_colored_solution(
 def construct_rainbow_lower(m: int, n: int) -> Coloring:
     """Extremal coloring showing RS_m(n) > rs_formula(m, n) - 1, for m >= 4.
 
-    One block [1, head] with head = n + 2 - rs_formula(m, n), then singletons,
-    for exactly rs_formula(m, n) - 1 colors in total.  Every solution with
+    The weak construction at t = m: one block [1, head] with
+    head = n + 2 - rs_formula(m, n), then singletons.  Every solution with
     strictly increasing summands has its two smallest summands inside the
     block, so no solution is rainbow.
     """
-    head = n + 2 - rs_formula(m, n)
-    return Coloring(
-        n=n,
-        colors=tuple([1] * head + list(range(2, n - head + 2))),
-        r=n - head + 1,
-    )
+    return construct_weak_lower(m, m, n)
 
 
 def construct_weak_lower(t: int, m: int, n: int) -> Coloring:
     """Extremal coloring with rs_weak_formula(t, m, n) - 1 colors and no
     solution showing t distinct colors; needs t >= 3.
 
-    Same shape as the rainbow construction: one block [1, n + 2 - k] plus
-    singletons, where k = rs_weak_formula(t, m, n).  At t = m it coincides
-    with construct_rainbow_lower.
+    One block [1, n + 2 - k] plus singletons, where
+    k = rs_weak_formula(t, m, n).
     """
     if t < 3:
         raise DomainError(

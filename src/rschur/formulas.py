@@ -119,15 +119,11 @@ def rs3_formula(n: int) -> int:
 
 
 def rs_formula(m: int, n: int) -> int:
-    """RS_m(n) = ceil(((m-3)n + m(m-1)/2) / (m-2)) for m >= 4, n >= m(m-1)/2."""
-    if m == 3:
-        raise UnsupportedM("m = 3 follows a logarithmic law; use rs3_formula")
-    if m < 3:
-        raise DomainError(f"m must be at least 3, got {m}")
-    least = min_n_rainbow(m)
-    if n < least:
-        raise DomainError(f"n must be at least m(m-1)/2 = {least}, got {n}")
-    return _ceil_div((m - 3) * n + m * (m - 1) // 2, m - 2)
+    """RS_m(n) = ceil(((m-3)n + m(m-1)/2) / (m-2)) for m >= 4, n >= m(m-1)/2.
+
+    The rainbow case is the weak case at t = m.
+    """
+    return rs_weak_formula(m, m, n)
 
 
 def rs_weak_formula(t: int, m: int, n: int) -> int:
@@ -138,7 +134,7 @@ def rs_weak_formula(t: int, m: int, n: int) -> int:
     (the search oracle still applies there).  For 3 <= t <= m with m >= 4 and
     n >= t(t-1)/2 + m - t the value is
     ceil(((t-3)n + t(t-1)/2 + m - t) / (t-2)), which reduces to m at t = 3
-    and to rs_formula(m, n) at t = m.
+    and to the rainbow value RS_m(n) at t = m.
     """
     if m < 3:
         raise DomainError(f"m must be at least 3, got {m}")
@@ -166,9 +162,7 @@ def formula_value(m: int, n: int, t: int | None = None) -> int:
     """Front door for all closed forms; t defaults to m (the rainbow case)."""
     if t is None:
         t = m
-    if t == m:
-        return rs3_formula(n) if m == 3 else rs_formula(m, n)
-    return rs_weak_formula(t, m, n)
+    return rs3_formula(n) if t == m == 3 else rs_weak_formula(t, m, n)
 
 
 def compute_by_formula(m: int, n: int, t: int | None = None) -> ComputedNumber:

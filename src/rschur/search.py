@@ -13,28 +13,31 @@ colors from an already-colored solution.  Branches that can no longer reach
 exactly r colors are abandoned as well.  For t = m only solutions with
 pairwise distinct values are tracked, since repeated values share a color.
 
-Single-threaded search (the default) visits colorings in lexicographic order
-of their growth strings and therefore reports the lexicographically least
-counterexample.  With threads > 1 the tree is split into subtrees by fixing
-growth-string prefixes at a configurable depth and the subtrees run in worker
-processes; the verdict is unchanged but the reported counterexample may be
-whichever worker finished first, and the node budget applies per subtree.
+One kernel, a depth-bounded DFS, does all the scanning.  Run to depth n it
+visits colorings in lexicographic order of their growth strings and reports
+the lexicographically least counterexample.  With threads > 1 it first runs
+to a split depth, and the surviving prefixes become subtrees scanned to depth
+n in worker processes.  Their results are read in prefix order, so the
+witness does not depend on the thread count.
 
-Budget exhaustion always raises BudgetExceeded; a partial scan is never
-reported as a verdict.
+The time limit is one absolute deadline on the time.monotonic() clock, which
+is system-wide and so shared by the worker processes; it bounds the whole
+call.  The node budget bounds the whole call at one thread, but applies per
+subtree when threads > 1.  Budget exhaustion always raises BudgetExceeded;
+a partial scan is never reported as a verdict.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
 
 from .colorings import Coloring
-from .equations import enumerate_solutions, index_solutions_by_total
+from .equations import index_solutions_by_total
 from .errors import BudgetExceeded, DomainError
-from .formulas import ComputedNumber, Method
+from .formulas import ComputedNumber, Method, ProblemParams, min_n_weak
 
 DEFAULT_MAX_NODES = 10**8
 
@@ -64,9 +67,12 @@ class Verdict:
 class SearchBudget:
     """Resource limits for a search run.
 
-    max_nodes caps color-assignment steps (per subtree when threads > 1);
-    time_limit is wall-clock seconds, unlimited when None; split_depth is the
-    prefix length at which work is divided among worker processes.
+    max_nodes caps color-assignment steps over the whole call at one
+    thread, and over each subtree when threads > 1; time_limit is wall-clock
+    seconds for the whole call, worker processes included, unlimited when
+    None; split_depth is the prefix length at which work is divided among
+    worker processes.  The verdict and the witness do not depend on threads
+    or split_depth.
     """
 
     max_nodes: int = DEFAULT_MAX_NODES
@@ -83,15 +89,6 @@ class SearchBudget:
             raise DomainError(f"threads must be at least 1, got {self.threads}")
         if self.split_depth < 1:
             raise DomainError(f"split_depth must be at least 1, got {self.split_depth}")
-
-
-def _validate_instance(m: int, t: int, n: int) -> None:
-    if m < 3:
-        raise DomainError(f"m must be at least 3, got {m}")
-    if not 2 <= t <= m:
-        raise DomainError(f"t must lie in [2, m] = [2, {m}], got {t}")
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
 
 
 def _value_set_buckets(m: int, t: int, n: int) -> list[list[tuple[int, ...]]]:
@@ -122,85 +119,43 @@ def _is_counterexample(colors: list[int], buckets: list[list[tuple[int, ...]]], 
     return True
 
 
-def _sequential_search(
+def _search(
     m: int,
     t: int,
     n: int,
     r: int,
     prefix: tuple[int, ...],
+    depth: int,
     max_nodes: int,
     deadline: float | None,
     eager_prune: bool,
-    incremental: bool,
 ):
-    """Depth-first scan of all canonical colorings extending `prefix`.
+    """Depth-first scan of the canonical colorings extending `prefix`, in
+    lexicographic order, down to position `depth` > len(prefix).
 
-    Returns (witness_colors | None, nodes, leaves) where witness_colors is
-    the lexicographically least counterexample in the subtree.  With
+    Returns (survivors, nodes, leaves).  Below depth n the survivors are all
+    growth-string prefixes of length `depth` that pruning could not rule
+    out.  At depth n the scan stops at the first counterexample, so the
+    survivors are empty or hold the lexicographically least one.  With
     eager_prune=False solutions are only checked at complete colorings, so
     every exact-r completion of the prefix is visited; that mode exists to
     make the leaf count externally checkable against partition counts.
+    Raises BudgetExceeded past max_nodes nodes or the absolute `deadline`
+    on the time.monotonic() clock.
     """
-    assert len(prefix) < n
     if r >= t:
         buckets = _value_set_buckets(m, t, n)
     else:
         # fewer colors available than the target: nothing can ever prune
         buckets = [[] for _ in range(n + 1)]
-
-    colors = [0] * (n + 1)
+    colors = [0, *prefix] + [0] * (n - len(prefix))
+    survivors: list[tuple[int, ...]] = []
     nodes = 0
     leaves = 0
 
-    # Optional finer pruning: track per-solution color counts incrementally
-    # and cut a branch as soon as any tracked solution shows t colors, even
-    # before its total is assigned.  Same verdict and witness, fewer nodes.
-    touch: list[list[int]] = []
-    colcnt: list[list[int]] = []
-    dist: list[int] = []
-    if incremental:
-        sols = [vals for bucket in buckets for vals in bucket]
-        touch = [[] for _ in range(n + 1)]
-        for sid, vals in enumerate(sols):
-            for v in vals:
-                touch[v].append(sid)
-        colcnt = [[0] * (r + 1) for _ in sols]
-        dist = [0] * len(sols)
-
-    def assign_tracked(x: int, c: int) -> bool:
-        bad = False
-        for sid in touch[x]:
-            counts = colcnt[sid]
-            if counts[c] == 0:
-                dist[sid] += 1
-                if dist[sid] >= t:
-                    bad = True
-            counts[c] += 1
-        return bad
-
-    def unassign_tracked(x: int, c: int) -> None:
-        for sid in touch[x]:
-            counts = colcnt[sid]
-            counts[c] -= 1
-            if counts[c] == 0:
-                dist[sid] -= 1
-
-    used = 0
-    for x, c in enumerate(prefix, start=1):
-        colors[x] = c
-        if c > used:
-            used = c
-        if incremental and assign_tracked(x, c):
-            # no completion of this prefix avoids a t-colored solution
-            return None, 0, 0
-    start_x = len(prefix) + 1
-    if used + (n - start_x + 1) < r:
-        return None, 0, 0
-
-    def dfs(x: int, used: int):
+    def dfs(x: int, used: int) -> bool:
         nonlocal nodes, leaves
         bucket = buckets[x]
-        last = x == n
         cap = used + 1 if used < r else r
         # an old color leaves `used` unchanged, so it is only viable while
         # enough positions remain to introduce the missing colors
@@ -213,18 +168,16 @@ def _sequential_search(
                     nodes=nodes,
                     frontier=tuple(colors[1:x]) + (c,),
                 )
-            if deadline is not None and not nodes % 4096 and time.monotonic() > deadline:
+            # checked on the first node too, so a subtree started after the
+            # deadline stops at once
+            if deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline:
                 raise BudgetExceeded(
                     "time limit exhausted",
                     nodes=nodes,
                     frontier=tuple(colors[1:x]) + (c,),
                 )
             colors[x] = c
-            if incremental:
-                if assign_tracked(x, c):
-                    unassign_tracked(x, c)
-                    continue
-            elif eager_prune:
+            if eager_prune:
                 pruned = False
                 for vals in bucket:
                     if len({colors[v] for v in vals}) >= t:
@@ -232,59 +185,20 @@ def _sequential_search(
                         break
                 if pruned:
                     continue
-            if last:
+            if x < depth:
+                if dfs(x + 1, used if c <= used else c):
+                    return True
+            elif x < n:
+                survivors.append(tuple(colors[1 : x + 1]))
+            else:
                 leaves += 1
                 if eager_prune or _is_counterexample(colors, buckets, t):
-                    return tuple(colors[1:])
-                continue
-            found = dfs(x + 1, used if c <= used else c)
-            if found is not None:
-                return found
-            if incremental:
-                unassign_tracked(x, c)
-        colors[x] = 0
-        return None
+                    survivors.append(tuple(colors[1:]))
+                    return True
+        return False
 
-    witness = dfs(start_x, used)
-    return witness, nodes, leaves
-
-
-def _subtree_task(args):
-    (m, t, n, r, prefix, max_nodes, time_left, eager_prune, incremental) = args
-    deadline = time.monotonic() + time_left if time_left is not None else None
-    return _sequential_search(
-        m, t, n, r, prefix, max_nodes, deadline, eager_prune, incremental
-    )
-
-
-def _feasible_prefixes(m: int, t: int, n: int, r: int, depth: int, eager_prune: bool):
-    """All growth-string prefixes of the given depth that could still lead to
-    an exact-r counterexample, in lexicographic order."""
-    if eager_prune and r >= t:
-        buckets = _value_set_buckets(m, t, n)
-    else:
-        buckets = [[] for _ in range(n + 1)]
-    colors = [0] * (depth + 1)
-    prefixes: list[tuple[int, ...]] = []
-    nodes = 0
-
-    def rec(x: int, used: int) -> None:
-        nonlocal nodes
-        if x > depth:
-            prefixes.append(tuple(colors[1:]))
-            return
-        cap = used + 1 if used < r else r
-        lo = 1 if used + (n - x) >= r else used + 1
-        for c in range(lo, cap + 1):
-            nodes += 1
-            colors[x] = c
-            if any(len({colors[v] for v in vals}) >= t for vals in buckets[x]):
-                continue
-            rec(x + 1, used if c <= used else c)
-        colors[x] = 0
-
-    rec(1, 0)
-    return prefixes, nodes
+    dfs(len(prefix) + 1, max(prefix, default=0))
+    return survivors, nodes, leaves
 
 
 def _parallel_search(
@@ -295,43 +209,37 @@ def _parallel_search(
     budget: SearchBudget,
     deadline: float | None,
     eager_prune: bool,
-    incremental: bool,
 ):
+    """Split the tree at the budget's depth, then scan the subtrees in worker
+    processes.  Results are read in prefix order, so the first witness is
+    the lexicographically least one, as in the one-process scan."""
     depth = max(1, min(budget.split_depth, n - 1))
-    prefixes, nodes = _feasible_prefixes(m, t, n, r, depth, eager_prune)
+    prefixes, nodes, _ = _search(
+        m, t, n, r, (), depth, budget.max_nodes, deadline, eager_prune
+    )
     leaves = 0
-    witness = None
-    budget_error: BudgetExceeded | None = None
-    time_left = None
-    if budget.time_limit is not None:
-        time_left = max(0.001, deadline - time.monotonic())
-    tasks = [
-        (m, t, n, r, prefix, budget.max_nodes, time_left, eager_prune, incremental)
-        for prefix in prefixes
-    ]
-    with ProcessPoolExecutor(max_workers=budget.threads) as pool:
-        futures = [pool.submit(_subtree_task, task) for task in tasks]
-        for fut in as_completed(futures):
+    pool = ProcessPoolExecutor(max_workers=budget.threads)
+    try:
+        futures = [
+            pool.submit(
+                _search, m, t, n, r, prefix, n, budget.max_nodes, deadline, eager_prune
+            )
+            for prefix in prefixes
+        ]
+        for fut in futures:
             try:
                 found, sub_nodes, sub_leaves = fut.result()
             except BudgetExceeded as exc:
-                budget_error = exc
-                continue
+                raise BudgetExceeded(
+                    str(exc), nodes=nodes + exc.nodes, frontier=exc.frontier
+                ) from None
             nodes += sub_nodes
             leaves += sub_leaves
-            if found is not None and witness is None:
-                witness = found
-                for other in futures:
-                    other.cancel()
-                break
-    if witness is not None:
-        return witness, nodes, leaves
-    if budget_error is not None:
-        raise BudgetExceeded(
-            str(budget_error), nodes=nodes + budget_error.nodes,
-            frontier=budget_error.frontier,
-        )
-    return None, nodes, leaves
+            if found:
+                return found, nodes, leaves
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [], nodes, leaves
 
 
 def all_colorings_good(
@@ -342,48 +250,45 @@ def all_colorings_good(
     budget: SearchBudget | None = None,
     *,
     eager_prune: bool = True,
-    incremental: bool = False,
 ) -> Verdict:
     """Check whether every exact r-coloring of [1, n] contains a solution of
     E_m with at least t distinct colors.
 
     Enumerates canonical restricted growth strings of length n reaching
-    exactly r colors; the first coloring found without such a solution is
-    returned as a counterexample.  Raises BudgetExceeded rather than ever
-    returning a verdict from a partial scan.
+    exactly r colors; the lexicographically least coloring without such a
+    solution is returned as a counterexample.  Raises BudgetExceeded rather
+    than ever returning a verdict from a partial scan.
     """
-    _validate_instance(m, t, n)
+    ProblemParams(m, t, n)
     if not 1 <= r <= n:
         raise DomainError(f"r must lie in [1, n] = [1, {n}], got {r}")
-    if incremental and not eager_prune:
-        raise DomainError("incremental pruning requires eager pruning")
     budget = budget or SearchBudget()
     start = time.monotonic()
     deadline = start + budget.time_limit if budget.time_limit is not None else None
     if budget.threads > 1 and n > 1:
-        witness_colors, nodes, leaves = _parallel_search(
-            m, t, n, r, budget, deadline, eager_prune, incremental
-        )
+        found, nodes, leaves = _parallel_search(m, t, n, r, budget, deadline, eager_prune)
     else:
-        witness_colors, nodes, leaves = _sequential_search(
-            m, t, n, r, (), budget.max_nodes, deadline, eager_prune, incremental
+        found, nodes, leaves = _search(
+            m, t, n, r, (), n, budget.max_nodes, deadline, eager_prune
         )
     elapsed = time.monotonic() - start
-    if witness_colors is None:
+    if not found:
         return Verdict(Outcome.ALL_GOOD, None, nodes, elapsed, leaves)
     return Verdict(
         Outcome.COUNTEREXAMPLE,
-        Coloring(n=n, colors=witness_colors, r=r),
+        Coloring(n=n, colors=found[0], r=r),
         nodes,
         elapsed,
         leaves,
     )
 
 
-def _t_colors_attainable(m: int, t: int, n: int) -> bool:
-    # A solution can never show more colors than it has distinct values, and
-    # under the all-singleton coloring it shows exactly that many.
-    return any(len(sol.distinct_values()) >= t for sol in enumerate_solutions(m, n))
+def _budget_left(budget: SearchBudget, nodes: int, deadline: float | None) -> SearchBudget:
+    """What remains of `budget` after `nodes` nodes, ending at `deadline`."""
+    time_left = None if deadline is None else deadline - time.monotonic()
+    if nodes >= budget.max_nodes or (time_left is not None and time_left <= 0):
+        raise BudgetExceeded("nothing left of the budget")
+    return replace(budget, max_nodes=budget.max_nodes - nodes, time_limit=time_left)
 
 
 def search_rs(
@@ -397,26 +302,42 @@ def search_rs(
     """Least r such that every exact r-coloring of [1, n] contains a solution
     of E_m with at least t distinct colors, found by upward scan.
 
-    Returns value None when no solution in [1, n] can show t distinct colors
-    even under the all-singleton coloring (then no r works).  Otherwise scans
-    r = 2, 3, ... and stops at the first ALL_GOOD verdict, which is correct
-    because merging two classes of a counterexample yields a counterexample
-    one color down: colorings without t-colored solutions exist at every r
-    below the answer.  The attached witness is the counterexample found at
-    value - 1 (the monochromatic coloring when value is 2).  Each (r, witness)
-    pair encountered is appended to witness_sink when one is supplied.
+    Returns value None when n < min_n_weak(t, m): then no solution in [1, n]
+    has t distinct values, so none can show t colors and no r works.
+    Otherwise scans r = 2, 3, ... and stops at the first ALL_GOOD verdict,
+    which is correct because merging two classes of a counterexample yields
+    a counterexample one color down: colorings without t-colored solutions
+    exist at every r below the answer.  The attached witness is the
+    counterexample found at value - 1 (the monochromatic coloring when value
+    is 2).  Each (r, witness) pair encountered is appended to witness_sink
+    when one is supplied.  The budget covers the whole scan: each r gets the
+    nodes and time the earlier ones left, and BudgetExceeded carries the
+    node count summed over every r.
     """
-    _validate_instance(m, t, n)
+    ProblemParams(m, t, n)
     budget = budget or SearchBudget()
     start = time.monotonic()
-    if not _t_colors_attainable(m, t, n):
+    if n < min_n_weak(t, m):
         return ComputedNumber(
             None, Method.SEARCH, None, nodes=0, elapsed=time.monotonic() - start
         )
+    deadline = start + budget.time_limit if budget.time_limit is not None else None
     total_nodes = 0
     previous = Coloring(n=n, colors=(1,) * n, r=1)
     for r in range(2, n + 1):
-        verdict = all_colorings_good(m, t, n, r, budget)
+        try:
+            verdict = all_colorings_good(
+                m, t, n, r, _budget_left(budget, total_nodes, deadline)
+            )
+        except BudgetExceeded as exc:
+            total_nodes += exc.nodes
+            if deadline is not None and time.monotonic() >= deadline:
+                message = "time limit exhausted"
+            else:
+                message = f"node budget of {budget.max_nodes} exhausted"
+            raise BudgetExceeded(
+                message, nodes=total_nodes, frontier=exc.frontier
+            ) from None
         total_nodes += verdict.nodes_explored
         if verdict.outcome is Outcome.ALL_GOOD:
             return ComputedNumber(

@@ -52,8 +52,6 @@ class TestVerdicts:
             all_colorings_good(3, 3, 4, 5)
         with pytest.raises(DomainError):
             all_colorings_good(3, 3, 4, 0)
-        with pytest.raises(DomainError):
-            all_colorings_good(3, 3, 4, 2, incremental=True, eager_prune=False)
 
 
 class TestAgainstBruteForce:
@@ -100,23 +98,13 @@ class TestEngineModes:
         assert lazy.witness == eager.witness
         assert eager.nodes_explored <= lazy.nodes_explored
 
-    @pytest.mark.parametrize(
-        "m,t,n,r",
-        [(3, 3, 8, 3), (3, 3, 8, 4), (4, 4, 8, 6), (4, 3, 8, 4), (5, 4, 9, 6)],
-    )
-    def test_incremental_mode_same_answer(self, m, t, n, r):
-        base = all_colorings_good(m, t, n, r)
-        inc = all_colorings_good(m, t, n, r, incremental=True)
-        assert inc.outcome is base.outcome
-        assert inc.witness == base.witness
-        assert inc.nodes_explored <= base.nodes_explored
-
     def test_parallel_same_outcome(self):
         budget = SearchBudget(threads=2, split_depth=3)
         for m, t, n, r in [(3, 3, 9, 4), (3, 3, 9, 5), (4, 4, 8, 6)]:
             seq = all_colorings_good(m, t, n, r)
             par = all_colorings_good(m, t, n, r, budget)
             assert par.outcome is seq.outcome, (m, t, n, r)
+            assert par.witness == seq.witness, (m, t, n, r)
             if par.outcome is Outcome.COUNTEREXAMPLE:
                 found, _ = has_t_colored_solution(par.witness, m, t)
                 assert not found
@@ -142,6 +130,20 @@ class TestBudgets:
             all_colorings_good(
                 3, 2, 16, 8, SearchBudget(time_limit=1e-6), eager_prune=False
             )
+
+    def test_parallel_time_limit_bounds_the_whole_call(self):
+        # every subtree alone finishes well inside the limit; together they
+        # take several seconds
+        budget = SearchBudget(time_limit=0.5, threads=2)
+        with pytest.raises(BudgetExceeded):
+            all_colorings_good(3, 3, 24, 6, budget)
+
+    def test_search_rs_budget_covers_every_r(self):
+        # r = 2..5 take 14, 260, 2783 and 5050 nodes: each fits in 6000
+        # alone, but together they do not
+        with pytest.raises(BudgetExceeded) as info:
+            search_rs(3, 3, 14, SearchBudget(max_nodes=6000))
+        assert info.value.nodes == 6001
 
     def test_parallel_budget_propagates(self):
         budget = SearchBudget(max_nodes=3, threads=2, split_depth=2)
