@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .colorings import (
     coloring_to_json,
@@ -48,20 +47,6 @@ EXIT_USAGE = 64
 EXIT_PARSE = 65
 
 ENV_MAX_NODES = "RSCHUR_MAX_NODES"
-
-
-@dataclass
-class VerificationRow:
-    """One (m, t, n) comparison between the closed form and the oracle."""
-
-    m: int
-    t: int
-    n: int
-    formula_value: int | None
-    search_value: int | None
-    agree: bool | None  # None when the two are not comparable
-    nodes: int
-    millis: int
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,32 +127,6 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-_TSV_COLUMNS = ("m", "t", "n", "formula", "search", "agree", "nodes", "millis")
-
-
-def _row_cells(row: VerificationRow) -> list[str]:
-    def show(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        return str(value)
-
-    return [
-        show(v)
-        for v in (
-            row.m,
-            row.t,
-            row.n,
-            row.formula_value,
-            row.search_value,
-            row.agree,
-            row.nodes,
-            row.millis,
-        )
-    ]
-
-
 def cmd_verify(args) -> int:
     t = args.t if args.t is not None else args.m
     ProblemParams(args.m, t, max(args.n_from, 1))
@@ -179,9 +138,9 @@ def cmd_verify(args) -> int:
         )
         return EXIT_USAGE
     budget = _resolve_budget(args)
-    rows: list[VerificationRow] = []
+    # one row per n; its keys are the TSV header, in order
+    rows: list[dict] = []
     any_skipped = False
-    exploratory = False
     for n in range(args.n_from, args.n_to + 1):
         try:
             fvalue = formula_value(args.m, n, t)
@@ -198,37 +157,35 @@ def cmd_verify(args) -> int:
             any_skipped = True
             nodes = exc.nodes
         millis = int((time.monotonic() - started) * 1000)
+        # None when the two are not comparable
         agree = (fvalue == svalue) if fvalue is not None and svalue is not None else None
-        if fvalue is None and svalue is not None:
-            exploratory = True
         rows.append(
-            VerificationRow(args.m, t, n, fvalue, svalue, agree, nodes, millis)
-        )
-    if args.format == "tsv":
-        print("\t".join(_TSV_COLUMNS))
-        for row in rows:
-            print("\t".join(_row_cells(row)))
-    else:
-        for row in rows:
-            doc = {
-                "m": row.m,
-                "t": row.t,
-                "n": row.n,
-                "formula": row.formula_value,
-                "search": row.search_value,
-                "agree": row.agree,
-                "nodes": row.nodes,
-                "millis": row.millis,
-                "exploratory": row.formula_value is None and row.search_value is not None,
+            {
+                "m": args.m,
+                "t": t,
+                "n": n,
+                "formula": fvalue,
+                "search": svalue,
+                "agree": agree,
+                "nodes": nodes,
+                "millis": millis,
             }
-            print(json.dumps(doc, sort_keys=True))
-    if exploratory:
+        )
+    exploratory = [row["formula"] is None and row["search"] is not None for row in rows]
+    if args.format == "tsv":
+        print("\t".join(rows[0]))
+        for row in rows:
+            print("\t".join("" if v is None else json.dumps(v) for v in row.values()))
+    else:
+        for row, oracle_only in zip(rows, exploratory):
+            print(json.dumps({**row, "exploratory": oracle_only}, sort_keys=True))
+    if any(exploratory):
         print(
             "note: rows without a formula value are oracle-only (no closed form "
             "applies at that n)",
             file=sys.stderr,
         )
-    if any_skipped or any(row.agree is False for row in rows):
+    if any_skipped or any(row["agree"] is False for row in rows):
         return EXIT_BUDGET_OR_MISMATCH
     return EXIT_OK
 

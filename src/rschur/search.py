@@ -17,22 +17,25 @@ One kernel, a depth-bounded DFS, does all the scanning.  Run to depth n it
 visits colorings in lexicographic order of their growth strings and reports
 the lexicographically least counterexample.  With threads > 1 it first runs
 to a split depth, and the surviving prefixes become subtrees scanned to depth
-n in worker processes.  Their results are read in prefix order, so the
-witness does not depend on the thread count.
+n in worker processes, at most one per CPU.  Their results are read in prefix
+order, so the witness does not depend on the thread count.
 
-The time limit is one absolute deadline on the time.monotonic() clock, which
-is system-wide and so shared by the worker processes; it bounds the whole
-call.  The node budget bounds the whole call at one thread, but applies per
-subtree when threads > 1.  Budget exhaustion always raises BudgetExceeded;
-a partial scan is never reported as a verdict.
+Each public call builds the per-total solution index and its deadline once
+and hands both to the kernel and its workers.  The time limit is one absolute
+deadline on the time.monotonic() clock, which is system-wide and so shared by
+the worker processes.  The node budget counts the split and every subtree in
+prefix order.  Both bound the whole call at any thread count.  Budget
+exhaustion always raises BudgetExceeded; a partial scan is never reported as
+a verdict.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .colorings import Coloring
 from .equations import index_solutions_by_total
@@ -40,6 +43,8 @@ from .errors import BudgetExceeded, DomainError
 from .formulas import ComputedNumber, Method, ProblemParams, min_n_weak
 
 DEFAULT_MAX_NODES = 10**8
+# prefix length at which work is divided among worker processes
+SPLIT_DEPTH = 8
 
 
 class Outcome(enum.Enum):
@@ -67,18 +72,16 @@ class Verdict:
 class SearchBudget:
     """Resource limits for a search run.
 
-    max_nodes caps color-assignment steps over the whole call at one
-    thread, and over each subtree when threads > 1; time_limit is wall-clock
-    seconds for the whole call, worker processes included, unlimited when
-    None; split_depth is the prefix length at which work is divided among
-    worker processes.  The verdict and the witness do not depend on threads
-    or split_depth.
+    max_nodes caps color-assignment steps over the whole call; time_limit
+    is wall-clock seconds for the whole call, unlimited when None.  Both
+    include the work of worker processes.  threads > 1 scans subtrees in
+    that many worker processes, at most one per CPU.  The verdict and the
+    witness do not depend on threads.
     """
 
     max_nodes: int = DEFAULT_MAX_NODES
     time_limit: float | None = None
     threads: int = 1
-    split_depth: int = 8
 
     def __post_init__(self):
         if self.max_nodes < 1:
@@ -87,8 +90,6 @@ class SearchBudget:
             raise DomainError(f"time_limit must be positive, got {self.time_limit}")
         if self.threads < 1:
             raise DomainError(f"threads must be at least 1, got {self.threads}")
-        if self.split_depth < 1:
-            raise DomainError(f"split_depth must be at least 1, got {self.split_depth}")
 
 
 def _value_set_buckets(m: int, t: int, n: int) -> list[list[tuple[int, ...]]]:
@@ -120,7 +121,7 @@ def _is_counterexample(colors: list[int], buckets: list[list[tuple[int, ...]]], 
 
 
 def _search(
-    m: int,
+    buckets: list[list[tuple[int, ...]]],
     t: int,
     n: int,
     r: int,
@@ -143,11 +144,6 @@ def _search(
     Raises BudgetExceeded past max_nodes nodes or the absolute `deadline`
     on the time.monotonic() clock.
     """
-    if r >= t:
-        buckets = _value_set_buckets(m, t, n)
-    else:
-        # fewer colors available than the target: nothing can ever prune
-        buckets = [[] for _ in range(n + 1)]
     colors = [0, *prefix] + [0] * (n - len(prefix))
     survivors: list[tuple[int, ...]] = []
     nodes = 0
@@ -162,17 +158,13 @@ def _search(
         lo = 1 if used + (n - x) >= r else used + 1
         for c in range(lo, cap + 1):
             nodes += 1
-            if nodes > max_nodes:
+            # the clock is read on the first node too, so a subtree started
+            # after the deadline stops at once
+            if nodes > max_nodes or (
+                deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline
+            ):
                 raise BudgetExceeded(
-                    f"node budget of {max_nodes} exhausted",
-                    nodes=nodes,
-                    frontier=tuple(colors[1:x]) + (c,),
-                )
-            # checked on the first node too, so a subtree started after the
-            # deadline stops at once
-            if deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline:
-                raise BudgetExceeded(
-                    "time limit exhausted",
+                    "search budget exhausted",
                     nodes=nodes,
                     frontier=tuple(colors[1:x]) + (c,),
                 )
@@ -201,45 +193,60 @@ def _search(
     return survivors, nodes, leaves
 
 
-def _parallel_search(
-    m: int,
+def _scan(
+    buckets: list[list[tuple[int, ...]]],
     t: int,
     n: int,
     r: int,
     budget: SearchBudget,
+    spent: int,
     deadline: float | None,
     eager_prune: bool,
 ):
-    """Split the tree at the budget's depth, then scan the subtrees in worker
-    processes.  Results are read in prefix order, so the first witness is
-    the lexicographically least one, as in the one-process scan."""
-    depth = max(1, min(budget.split_depth, n - 1))
-    prefixes, nodes, _ = _search(
-        m, t, n, r, (), depth, budget.max_nodes, deadline, eager_prune
-    )
-    leaves = 0
-    pool = ProcessPoolExecutor(max_workers=budget.threads)
+    """Scan every exact r-coloring of [1, n] as _search does to depth n,
+    after `spent` nodes of the budget went to earlier scans of the same call.
+
+    With threads > 1 the tree is split at SPLIT_DEPTH and the subtrees are
+    scanned in worker processes.  Their results are read in prefix order,
+    so the first witness is the lexicographically least one, as in the
+    one-process scan, and the node budget counts the split and then each
+    subtree in that order.  BudgetExceeded carries the nodes counted over
+    the whole call.
+    """
+    left = budget.max_nodes - spent
+    nodes = 0  # of the split and of the subtrees read so far
     try:
-        futures = [
-            pool.submit(
-                _search, m, t, n, r, prefix, n, budget.max_nodes, deadline, eager_prune
-            )
-            for prefix in prefixes
-        ]
-        for fut in futures:
-            try:
+        if budget.threads == 1 or n == 1:
+            return _search(buckets, t, n, r, (), n, left, deadline, eager_prune)
+        prefixes, nodes, leaves = _search(
+            buckets, t, n, r, (), min(SPLIT_DEPTH, n - 1), left, deadline, eager_prune
+        )
+        pool = ProcessPoolExecutor(max_workers=min(budget.threads, os.cpu_count() or 1))
+        try:
+            futures = [
+                pool.submit(
+                    _search, buckets, t, n, r, prefix, n, left - nodes, deadline, eager_prune
+                )
+                for prefix in prefixes
+            ]
+            for prefix, fut in zip(prefixes, futures):
                 found, sub_nodes, sub_leaves = fut.result()
-            except BudgetExceeded as exc:
-                raise BudgetExceeded(
-                    str(exc), nodes=nodes + exc.nodes, frontier=exc.frontier
-                ) from None
-            nodes += sub_nodes
-            leaves += sub_leaves
-            if found:
-                return found, nodes, leaves
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return [], nodes, leaves
+                nodes += sub_nodes
+                leaves += sub_leaves
+                if nodes > left:
+                    raise BudgetExceeded("search budget exhausted", frontier=prefix)
+                if found:
+                    return found, nodes, leaves
+        finally:
+            pool.shutdown(cancel_futures=True)
+        return [], nodes, leaves
+    except BudgetExceeded as exc:
+        nodes += spent + exc.nodes
+        if nodes > budget.max_nodes:
+            message = f"node budget of {budget.max_nodes} exhausted"
+        else:
+            message = "time limit exhausted"
+        raise BudgetExceeded(message, nodes=nodes, frontier=exc.frontier) from None
 
 
 def all_colorings_good(
@@ -265,12 +272,9 @@ def all_colorings_good(
     budget = budget or SearchBudget()
     start = time.monotonic()
     deadline = start + budget.time_limit if budget.time_limit is not None else None
-    if budget.threads > 1 and n > 1:
-        found, nodes, leaves = _parallel_search(m, t, n, r, budget, deadline, eager_prune)
-    else:
-        found, nodes, leaves = _search(
-            m, t, n, r, (), n, budget.max_nodes, deadline, eager_prune
-        )
+    found, nodes, leaves = _scan(
+        _value_set_buckets(m, t, n), t, n, r, budget, 0, deadline, eager_prune
+    )
     elapsed = time.monotonic() - start
     if not found:
         return Verdict(Outcome.ALL_GOOD, None, nodes, elapsed, leaves)
@@ -281,14 +285,6 @@ def all_colorings_good(
         elapsed,
         leaves,
     )
-
-
-def _budget_left(budget: SearchBudget, nodes: int, deadline: float | None) -> SearchBudget:
-    """What remains of `budget` after `nodes` nodes, ending at `deadline`."""
-    time_left = None if deadline is None else deadline - time.monotonic()
-    if nodes >= budget.max_nodes or (time_left is not None and time_left <= 0):
-        raise BudgetExceeded("nothing left of the budget")
-    return replace(budget, max_nodes=budget.max_nodes - nodes, time_limit=time_left)
 
 
 def search_rs(
@@ -322,24 +318,13 @@ def search_rs(
             None, Method.SEARCH, None, nodes=0, elapsed=time.monotonic() - start
         )
     deadline = start + budget.time_limit if budget.time_limit is not None else None
+    buckets = _value_set_buckets(m, t, n)
     total_nodes = 0
     previous = Coloring(n=n, colors=(1,) * n, r=1)
     for r in range(2, n + 1):
-        try:
-            verdict = all_colorings_good(
-                m, t, n, r, _budget_left(budget, total_nodes, deadline)
-            )
-        except BudgetExceeded as exc:
-            total_nodes += exc.nodes
-            if deadline is not None and time.monotonic() >= deadline:
-                message = "time limit exhausted"
-            else:
-                message = f"node budget of {budget.max_nodes} exhausted"
-            raise BudgetExceeded(
-                message, nodes=total_nodes, frontier=exc.frontier
-            ) from None
-        total_nodes += verdict.nodes_explored
-        if verdict.outcome is Outcome.ALL_GOOD:
+        found, nodes, _ = _scan(buckets, t, n, r, budget, total_nodes, deadline, True)
+        total_nodes += nodes
+        if not found:
             return ComputedNumber(
                 r,
                 Method.SEARCH,
@@ -347,9 +332,9 @@ def search_rs(
                 nodes=total_nodes,
                 elapsed=time.monotonic() - start,
             )
-        previous = verdict.witness
+        previous = Coloring(n=n, colors=found[0], r=r)
         if witness_sink is not None:
-            witness_sink.append((r, verdict.witness))
+            witness_sink.append((r, previous))
     raise AssertionError(
         "unreachable: the all-singleton coloring contains a t-colored solution"
     )

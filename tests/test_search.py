@@ -1,7 +1,10 @@
 """Exhaustive-search oracle: verdicts, witnesses, budgets, and engine modes."""
 
+from concurrent.futures import Future
+
 import pytest
 
+import rschur.search as search_module
 from brute_oracle import brute_least_counterexample, stirling2
 from rschur import (
     BudgetExceeded,
@@ -17,6 +20,32 @@ from rschur import (
     rs_formula,
     search_rs,
 )
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool by one that runs each task in this process;
+    returns the list of pools created."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            pools.append(self)
+
+        def submit(self, fn, *args):
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", InlinePool)
+    return pools
 
 
 class TestVerdicts:
@@ -99,7 +128,7 @@ class TestEngineModes:
         assert eager.nodes_explored <= lazy.nodes_explored
 
     def test_parallel_same_outcome(self):
-        budget = SearchBudget(threads=2, split_depth=3)
+        budget = SearchBudget(threads=2)
         for m, t, n, r in [(3, 3, 9, 4), (3, 3, 9, 5), (4, 4, 8, 6)]:
             seq = all_colorings_good(m, t, n, r)
             par = all_colorings_good(m, t, n, r, budget)
@@ -110,10 +139,33 @@ class TestEngineModes:
                 assert not found
 
     def test_parallel_leaf_count_still_exact(self):
-        budget = SearchBudget(threads=2, split_depth=3)
+        budget = SearchBudget(threads=2)
         v = all_colorings_good(3, 2, 8, 4, budget, eager_prune=False)
         assert v.outcome is Outcome.ALL_GOOD
         assert v.leaves == stirling2(8, 4)
+
+    @pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1)])
+    def test_workers_capped_at_cpu_count(self, inline_pool, monkeypatch, cpus, workers):
+        monkeypatch.setattr(search_module.os, "cpu_count", lambda: cpus)
+        v = all_colorings_good(3, 3, 9, 5, SearchBudget(threads=64))
+        assert v.outcome is Outcome.ALL_GOOD
+        assert [pool.max_workers for pool in inline_pool] == [workers]
+
+    def test_buckets_built_once_per_call(self, inline_pool, monkeypatch):
+        calls = []
+        build = search_module._value_set_buckets
+
+        def spy(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(search_module, "_value_set_buckets", spy)
+        search_rs(4, 4, 8)
+        assert calls == [(4, 4, 8)]
+        calls.clear()
+        all_colorings_good(3, 3, 9, 4, SearchBudget(threads=2))
+        assert calls == [(3, 3, 9)]
+        assert len(inline_pool) == 1
 
 
 class TestBudgets:
@@ -144,11 +196,28 @@ class TestBudgets:
         with pytest.raises(BudgetExceeded) as info:
             search_rs(3, 3, 14, SearchBudget(max_nodes=6000))
         assert info.value.nodes == 6001
+        # r = 2 takes exactly 7 nodes, so the budget runs out at the end of
+        # an r; the first node of r = 3 is the one past the budget
+        with pytest.raises(BudgetExceeded) as info:
+            search_rs(3, 3, 7, SearchBudget(max_nodes=7))
+        assert info.value.nodes == 8
+        assert info.value.frontier
+
+    def test_parallel_node_budget_covers_the_whole_call(self):
+        # the largest subtree takes 1,185 nodes, well inside the budget;
+        # the split and all 149 subtrees together take 138,968
+        with pytest.raises(BudgetExceeded) as info:
+            all_colorings_good(3, 3, 20, 6, SearchBudget(max_nodes=50_000, threads=2))
+        assert info.value.nodes > 50_000
 
     def test_parallel_budget_propagates(self):
-        budget = SearchBudget(max_nodes=3, threads=2, split_depth=2)
-        with pytest.raises(BudgetExceeded):
+        # the split to depth 8 takes 5,264 nodes and the first subtree 4, so
+        # the budget runs out inside that subtree's worker
+        budget = SearchBudget(max_nodes=5266, threads=2)
+        with pytest.raises(BudgetExceeded) as info:
             all_colorings_good(3, 2, 12, 6, budget, eager_prune=False)
+        assert info.value.nodes == 5267
+        assert len(info.value.frontier) > 8
 
     def test_budget_validation(self):
         with pytest.raises(DomainError):
