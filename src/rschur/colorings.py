@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Sequence
 
 from .equations import SchurSolution, enumerate_solutions
@@ -115,7 +117,7 @@ def surplus_count(c: Coloring) -> int:
 
 
 def _scan_solutions(
-    c: Coloring, m: int, t_target: int | None, distinct: bool
+    c: Coloring, m: int, t_target: int | None
 ) -> tuple[int, SchurSolution | None]:
     # Repeated values share a color, so a solution's color count is the number
     # of distinct colors over its value set.  The witness returned is the
@@ -124,7 +126,7 @@ def _scan_solutions(
     colors = c.colors
     best = 0
     witness = None
-    for sol in enumerate_solutions(m, c.n, distinct=distinct):
+    for sol in enumerate_solutions(m, c.n):
         seen = {colors[v - 1] for v in sol.terms}
         seen.add(colors[sol.total - 1])
         count = len(seen)
@@ -150,7 +152,53 @@ def max_solution_colors(
         raise DomainError(f"m must be at least 3, got {m}")
     if t_target is not None and t_target < 1:
         raise DomainError(f"t_target must be positive, got {t_target}")
-    return _scan_solutions(c, m, t_target, distinct=False)
+    return _scan_solutions(c, m, t_target)
+
+
+def _t_colored_tail(
+    bits: list[int],
+    rows: list[list[int] | None],
+    mask: int,
+    room: int,
+    j: int,
+    lo: int,
+    step: int,
+    t: int,
+) -> tuple[int, ...] | None:
+    """Lexicographically first j summands, each at least `lo` and `step`
+    above the one before, that sum to `room` and bring the colors in `mask`
+    to at least t; None when there are none.
+
+    bits[x] is the color bit of x.  rows[v], built on first use, holds at
+    index x - v the colors of [v, x].
+    """
+    if j == 1:
+        # the caller's loop bound keeps room >= lo
+        if (mask | bits[room]).bit_count() >= t:
+            return (room,)
+        return None
+    need = t - mask.bit_count()
+    if need > j:
+        return None
+    # the other j - 1 summands take at least (j - 1) * v + top_rest, so every
+    # one of the j summands lies in [v, room - (j - 1) * v - top_rest]
+    top_rest = step * (j - 1) * (j - 2) // 2
+    v = lo
+    while True:
+        hi = room - (j - 1) * v - top_rest
+        if hi < v + step * (j - 1):
+            return None
+        if need > 0:
+            row = rows[v]
+            if row is None:
+                row = rows[v] = list(accumulate(bits[v:], or_))
+            # [v, hi] only shrinks as v grows, so no later v can pass either
+            if min(j, (row[hi - v] & ~mask).bit_count()) < need:
+                return None
+        tail = _t_colored_tail(bits, rows, mask | bits[v], room - v, j - 1, v + step, step, t)
+        if tail is not None:
+            return (v,) + tail
+        v += 1
 
 
 def has_t_colored_solution(
@@ -158,17 +206,32 @@ def has_t_colored_solution(
 ) -> tuple[bool, SchurSolution | None]:
     """Does some solution of E_m show at least t distinct colors under c?
 
-    For t = m only solutions with pairwise distinct values can qualify
-    (repeated values share a color), so the scan restricts to those.  Returns
-    the first qualifying solution as witness, or (False, None).
+    Returns the first qualifying solution in (total, lexicographic summand)
+    order as witness, or (False, None).  For t = m only solutions with
+    pairwise distinct values can qualify (repeated values share a color), so
+    the scan restricts to strictly increasing summands.
+
+    The scan is a branch and bound over summand prefixes, total by total.
+    With j summands left to sum to `room` and v the least value the next one
+    may take, all j lie in [v, hi], hi = room - (j - 1) * v - s * (j - 1) *
+    (j - 2) / 2 with s = 1 for strictly increasing summands and 0 otherwise.
+    A branch is cut when the colors of the prefix and the total, plus
+    min(j, new colors in [v, hi]), fall short of t.  Only branches that
+    cannot reach t colors are cut, so the answer and the witness are those
+    of the full solution scan.
     """
     if m < 3:
         raise DomainError(f"m must be at least 3, got {m}")
     if not 1 <= t <= m:
         raise DomainError(f"t must lie in [1, m] = [1, {m}], got {t}")
-    count, witness = _scan_solutions(c, m, t, distinct=(t == m))
-    if count >= t:
-        return True, witness
+    parts = m - 1
+    step = 1 if t == m else 0
+    bits = [0] + [1 << col for col in c.colors]
+    rows: list[list[int] | None] = [None] * (c.n + 1)
+    for total in range(parts + step * parts * (parts - 1) // 2, c.n + 1):
+        terms = _t_colored_tail(bits, rows, bits[total], total, parts, 1, step, t)
+        if terms is not None:
+            return True, SchurSolution(terms, total)
     return False, None
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 import enum
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .colorings import Coloring
@@ -218,6 +217,10 @@ def _scan(
     try:
         if budget.threads == 1 or n == 1:
             return _search(buckets, t, n, r, (), n, left, deadline, eager_prune)
+        # imported here: the pool's import of multiprocessing is most of the
+        # package's import time, and one-thread calls never need it
+        from concurrent.futures import ProcessPoolExecutor
+
         prefixes, nodes, leaves = _search(
             buckets, t, n, r, (), min(SPLIT_DEPTH, n - 1), left, deadline, eager_prune
         )
@@ -272,9 +275,10 @@ def all_colorings_good(
     budget = budget or SearchBudget()
     start = time.monotonic()
     deadline = start + budget.time_limit if budget.time_limit is not None else None
-    found, nodes, leaves = _scan(
-        _value_set_buckets(m, t, n), t, n, r, budget, 0, deadline, eager_prune
-    )
+    # with fewer than t colors no solution can show t, so no prune can fire
+    # and every complete coloring is a counterexample: the index is not needed
+    buckets = _value_set_buckets(m, t, n) if r >= t else [[]] * (n + 1)
+    found, nodes, leaves = _scan(buckets, t, n, r, budget, 0, deadline, eager_prune)
     elapsed = time.monotonic() - start
     if not found:
         return Verdict(Outcome.ALL_GOOD, None, nodes, elapsed, leaves)

@@ -1,6 +1,7 @@
 """Canonical colorings, solution-color detection, constructions, and I/O."""
 
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -16,6 +17,7 @@ from rschur import (
     coloring_to_json,
     construct_rainbow_lower,
     construct_weak_lower,
+    enumerate_solutions,
     from_classes,
     has_t_colored_solution,
     max_solution_colors,
@@ -130,14 +132,84 @@ class TestDetection:
     def test_agrees_with_brute_force(self):
         rng = random.Random(97)
         for _ in range(150):
-            n = rng.randint(1, 9)
-            labels = [rng.randint(1, 4) for _ in range(n)]
+            n = rng.randint(1, 12)
+            k = rng.randint(1, 7)
+            labels = [rng.randint(1, k) for _ in range(n)]
             c = canonicalize(labels)
-            for m in (3, 4, 5):
+            for m in (3, 4, 5, 6):
                 for t in range(2, m + 1):
                     assert has_t_colored_solution(c, m, t)[0] == brute_has_t_colored(
                         list(c.colors), m, t
                     )
+
+
+@lru_cache(maxsize=None)
+def all_solutions(m, n):
+    return tuple(enumerate_solutions(m, n))
+
+
+def first_matches(c, m):
+    """{t: (found, witness)} for t in [1, m] from the plain scan: a filter
+    over every solution of enumerate_solutions, in its order.  A solution
+    showing m colors has m distinct values, so at t = m the first match is
+    also the first among the distinct-valued solutions."""
+    sols = all_solutions(m, c.n)
+    shown = [len({c.colors[v - 1] for v in sol.values}) for sol in sols]
+    out = {}
+    for t in range(1, m + 1):
+        first = next((i for i, k in enumerate(shown) if k >= t), None)
+        out[t] = (False, None) if first is None else (True, sols[first])
+    return out
+
+
+class TestBoundedScan:
+    """has_t_colored_solution skips summand prefixes that cannot reach t
+    colors; it must return exactly the (found, witness) of the plain scan."""
+
+    def test_random_colorings(self):
+        rng = random.Random(4)
+        found = 0
+        checks = 0
+        for _ in range(3000):
+            m = rng.randint(3, 8)
+            n = rng.randint(1, 30)
+            k = rng.randint(1, 9)
+            if rng.random() < 0.4:
+                # one block at the bottom, like the constructions, then
+                # singletons with some colors drawn from [0, k]
+                head = rng.randint(1, n)
+                labels = [0] * head + [
+                    rng.randint(0, k) if rng.random() < 0.3 else -x
+                    for x in range(head + 1, n + 1)
+                ]
+            else:
+                labels = [rng.randint(1, k) for _ in range(n)]
+            c = canonicalize(labels)
+            expected = first_matches(c, m)
+            for t in range(1, m + 1):
+                got = has_t_colored_solution(c, m, t)
+                assert got == expected[t], (labels, m, t)
+                found += got[0]
+                checks += 1
+        # hits and misses are both common
+        assert 0.3 < found / checks < 0.7
+
+    def test_constructions_with_a_color_split_off_the_block(self):
+        # one more color than the construction reaches the formula value,
+        # so every such coloring has a solution showing t colors
+        rng = random.Random(8)
+        for m in range(4, 10):
+            for t in range(3, m + 1):
+                for n in range(min_n_weak(t, m), 31):
+                    c = construct_weak_lower(t, m, n)
+                    x = rng.choice(c.classes()[0])
+                    split = canonicalize(
+                        [c.r + 1 if y == x else col for y, col in enumerate(c.colors, 1)]
+                    )
+                    assert split.r == rs_weak_formula(t, m, n)
+                    got = has_t_colored_solution(split, m, t)
+                    assert got[0], (t, m, n, x)
+                    assert got == first_matches(split, m)[t], (t, m, n, x)
 
 
 class TestConstructions:

@@ -1,6 +1,11 @@
 """Exhaustive-search oracle: verdicts, witnesses, budgets, and engine modes."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -44,7 +49,7 @@ def inline_pool(monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(search_module, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return pools
 
 
@@ -166,6 +171,39 @@ class TestEngineModes:
         all_colorings_good(3, 3, 9, 4, SearchBudget(threads=2))
         assert calls == [(3, 3, 9)]
         assert len(inline_pool) == 1
+
+    @pytest.mark.parametrize("eager_prune", [True, False])
+    def test_no_buckets_below_t_colors(self, monkeypatch, eager_prune):
+        # with r < t colors no solution can show t colors, so the index
+        # changes nothing: same witness, nodes and leaves as a scan with it
+        calls = []
+        build = search_module._value_set_buckets
+
+        def spy(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(search_module, "_value_set_buckets", spy)
+        for m, t, n, r in [(4, 3, 16, 2), (5, 5, 9, 4), (6, 4, 8, 3), (3, 3, 1, 1)]:
+            v = all_colorings_good(m, t, n, r, eager_prune=eager_prune)
+            assert calls == []
+            found, nodes, leaves = search_module._scan(
+                build(m, t, n), t, n, r, SearchBudget(), 0, None, eager_prune
+            )
+            assert v.outcome is Outcome.COUNTEREXAMPLE
+            assert (v.witness.colors, v.nodes_explored, v.leaves) == (found[0], nodes, leaves)
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        code = "import sys, rschur.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(search_module.__file__).parents[1])),
+            timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestBudgets:
