@@ -158,11 +158,26 @@ def rs_weak_formula(t: int, m: int, n: int) -> int:
     return _ceil_div((t - 3) * n + t * (t - 1) // 2 + m - t, t - 2)
 
 
+# The closed forms, one row each: (applies to (m, t), value at (t, m, n),
+# statement).  formula_value and formula_description both take the first
+# row that applies, so the value and its statement cannot disagree.
+_CASES = (
+    (lambda m, t: t == m == 3, lambda t, m, n: rs3_formula(n), "floor(log2(n)) + 2"),
+    (lambda m, t: t == m, rs_weak_formula, "ceil(((m - 3)*n + m*(m - 1)/2) / (m - 2))"),
+    (lambda m, t: t == 2, rs_weak_formula, "2 (constant for n >= 2m - 4)"),
+    (lambda m, t: True, rs_weak_formula, "ceil(((t - 3)*n + t*(t - 1)/2 + m - t) / (t - 2))"),
+)
+
+
+def _case(m: int, t: int):
+    return next(case for case in _CASES if case[0](m, t))
+
+
 def formula_value(m: int, n: int, t: int | None = None) -> int:
     """Front door for all closed forms; t defaults to m (the rainbow case)."""
     if t is None:
         t = m
-    return rs3_formula(n) if t == m == 3 else rs_weak_formula(t, m, n)
+    return _case(m, t)[1](t, m, n)
 
 
 def compute_by_formula(m: int, n: int, t: int | None = None) -> ComputedNumber:
@@ -174,10 +189,4 @@ def formula_description(m: int, t: int | None = None) -> str:
     """Human-readable statement of the closed form formula_value would use."""
     if t is None:
         t = m
-    if t == m:
-        if m == 3:
-            return "floor(log2(n)) + 2"
-        return "ceil(((m - 3)*n + m*(m - 1)/2) / (m - 2))"
-    if t == 2:
-        return "2 (constant for n >= 2m - 4)"
-    return "ceil(((t - 3)*n + t*(t - 1)/2 + m - t) / (t - 2))"
+    return _case(m, t)[2]

@@ -7,11 +7,13 @@ blowup of raw label maps.
 
 Integers are colored in increasing order.  When position x receives a color,
 every solution of E_m with total x becomes fully colored (all summands are
-smaller than the total), so the branch can be abandoned the moment such a
-solution reaches t distinct colors: extending the coloring never removes
-colors from an already-colored solution.  Branches that can no longer reach
-exactly r colors are abandoned as well.  For t = m only solutions with
-pairwise distinct values are tracked, since repeated values share a color.
+smaller than the total); extending the coloring never removes colors from it,
+so a color that gives it t distinct colors is never tried.  On entering x one
+pass over those solutions ORs each one's summand bits, 1 << color, into a mask
+with k bits set, which rules out every color at k >= t and every color outside
+the mask at k = t - 1.  Branches that can no longer reach exactly r colors are
+abandoned as well.  For t = m only solutions with pairwise distinct values are
+tracked, since repeated values share a color.
 
 One kernel, a depth-bounded DFS, does all the scanning.  Run to depth n it
 visits colorings in lexicographic order of their growth strings and reports
@@ -20,13 +22,13 @@ to a split depth, and the surviving prefixes become subtrees scanned to depth
 n in worker processes, at most one per CPU.  Their results are read in prefix
 order, so the witness does not depend on the thread count.
 
-Each public call builds the per-total solution index and its deadline once
-and hands both to the kernel and its workers.  The time limit is one absolute
-deadline on the time.monotonic() clock, which is system-wide and so shared by
-the worker processes.  The node budget counts the split and every subtree in
-prefix order.  Both bound the whole call at any thread count.  Budget
-exhaustion always raises BudgetExceeded; a partial scan is never reported as
-a verdict.
+Each public call builds the per-total solution index, its deadline and, at
+threads > 1, one process pool once; the index and the deadline go to the
+kernel and its workers.  The time limit is one absolute deadline on the
+time.monotonic() clock, which is system-wide and so shared by the worker
+processes.  The node budget counts the split and every subtree in prefix
+order.  Both bound the whole call at any thread count.  Budget exhaustion
+always raises BudgetExceeded; a partial scan is never reported as a verdict.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import enum
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .colorings import Coloring
@@ -92,29 +95,21 @@ class SearchBudget:
 
 
 def _value_set_buckets(m: int, t: int, n: int) -> list[list[tuple[int, ...]]]:
-    """Per-total lists of deduplicated value sets of solutions.
-
-    Solutions whose distinct values number fewer than t can never show t
-    colors and are dropped; two solutions over the same value set prune
-    identically, so each set is kept once.
+    """buckets[x] lists the distinct summand values of each solution with
+    total x.  Solutions with fewer than t distinct values can never show t
+    colors and are dropped; equal sets prune identically and are kept once.
     """
-    distinct = t == m
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    seen: set[tuple[int, ...]] = set()
-    for total, sols in index_solutions_by_total(m, n, distinct=distinct).items():
-        for sol in sols:
-            vals = sol.distinct_values()
-            if len(vals) < t or vals in seen:
-                continue
-            seen.add(vals)
-            buckets[total].append(vals)
+    for total, sols in index_solutions_by_total(m, n, distinct=t == m).items():
+        summand_sets = dict.fromkeys(tuple(sorted(set(sol.terms))) for sol in sols)
+        buckets[total] = [vals for vals in summand_sets if len(vals) >= t - 1]
     return buckets
 
 
 def _is_counterexample(colors: list[int], buckets: list[list[tuple[int, ...]]], t: int) -> bool:
-    for bucket in buckets:
+    for x, bucket in enumerate(buckets):
         for vals in bucket:
-            if len({colors[v] for v in vals}) >= t:
+            if len({colors[x], *(colors[v] for v in vals)}) >= t:
                 return False
     return True
 
@@ -144,13 +139,25 @@ def _search(
     on the time.monotonic() clock.
     """
     colors = [0, *prefix] + [0] * (n - len(prefix))
+    bits = [1 << c for c in colors]
     survivors: list[tuple[int, ...]] = []
     nodes = 0
     leaves = 0
 
     def dfs(x: int, used: int) -> bool:
         nonlocal nodes, leaves
-        bucket = buckets[x]
+        allowed = -1  # bit c: color c at x completes no t-colored solution
+        if eager_prune:
+            for vals in buckets[x]:
+                mask = 0
+                for v in vals:
+                    mask |= bits[v]
+                k = mask.bit_count()
+                if k >= t:
+                    allowed = 0
+                    break
+                if k == t - 1:
+                    allowed &= mask
         cap = used + 1 if used < r else r
         # an old color leaves `used` unchanged, so it is only viable while
         # enough positions remain to introduce the missing colors
@@ -167,15 +174,10 @@ def _search(
                     nodes=nodes,
                     frontier=tuple(colors[1:x]) + (c,),
                 )
+            if not allowed >> c & 1:
+                continue
             colors[x] = c
-            if eager_prune:
-                pruned = False
-                for vals in bucket:
-                    if len({colors[v] for v in vals}) >= t:
-                        pruned = True
-                        break
-                if pruned:
-                    continue
+            bits[x] = 1 << c
             if x < depth:
                 if dfs(x + 1, used if c <= used else c):
                     return True
@@ -192,6 +194,16 @@ def _search(
     return survivors, nodes, leaves
 
 
+def _pool(threads: int):
+    """The call's pool of at most one worker per CPU, started by its first task."""
+    if threads == 1:
+        return nullcontext()
+    # imported late: multiprocessing is most of the package's import time
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1))
+
+
 def _scan(
     buckets: list[list[tuple[int, ...]]],
     t: int,
@@ -201,37 +213,31 @@ def _scan(
     spent: int,
     deadline: float | None,
     eager_prune: bool,
+    pool,
 ):
     """Scan every exact r-coloring of [1, n] as _search does to depth n,
     after `spent` nodes of the budget went to earlier scans of the same call.
 
     With threads > 1 the tree is split at SPLIT_DEPTH and the subtrees are
-    scanned in worker processes.  Their results are read in prefix order,
-    so the first witness is the lexicographically least one, as in the
-    one-process scan, and the node budget counts the split and then each
-    subtree in that order.  BudgetExceeded carries the nodes counted over
-    the whole call.
+    scanned on `pool`, which serves every scan of the call.  Their results
+    are read in prefix order, so the first witness is the lexicographically
+    least one, as in the one-process scan, and the node budget counts the
+    split and then each subtree in that order.  BudgetExceeded carries the
+    nodes counted over the whole call.
     """
     left = budget.max_nodes - spent
     nodes = 0  # of the split and of the subtrees read so far
     try:
         if budget.threads == 1 or n == 1:
             return _search(buckets, t, n, r, (), n, left, deadline, eager_prune)
-        # imported here: the pool's import of multiprocessing is most of the
-        # package's import time, and one-thread calls never need it
-        from concurrent.futures import ProcessPoolExecutor
-
         prefixes, nodes, leaves = _search(
             buckets, t, n, r, (), min(SPLIT_DEPTH, n - 1), left, deadline, eager_prune
         )
-        pool = ProcessPoolExecutor(max_workers=min(budget.threads, os.cpu_count() or 1))
+        futures = [
+            pool.submit(_search, buckets, t, n, r, prefix, n, left - nodes, deadline, eager_prune)
+            for prefix in prefixes
+        ]
         try:
-            futures = [
-                pool.submit(
-                    _search, buckets, t, n, r, prefix, n, left - nodes, deadline, eager_prune
-                )
-                for prefix in prefixes
-            ]
             for prefix, fut in zip(prefixes, futures):
                 found, sub_nodes, sub_leaves = fut.result()
                 nodes += sub_nodes
@@ -241,7 +247,9 @@ def _scan(
                 if found:
                     return found, nodes, leaves
         finally:
-            pool.shutdown(cancel_futures=True)
+            # the pool serves later scans: drop the subtrees not yet started
+            for fut in futures:
+                fut.cancel()
         return [], nodes, leaves
     except BudgetExceeded as exc:
         nodes += spent + exc.nodes
@@ -278,7 +286,8 @@ def all_colorings_good(
     # with fewer than t colors no solution can show t, so no prune can fire
     # and every complete coloring is a counterexample: the index is not needed
     buckets = _value_set_buckets(m, t, n) if r >= t else [[]] * (n + 1)
-    found, nodes, leaves = _scan(buckets, t, n, r, budget, 0, deadline, eager_prune)
+    with _pool(budget.threads) as pool:
+        found, nodes, leaves = _scan(buckets, t, n, r, budget, 0, deadline, eager_prune, pool)
     elapsed = time.monotonic() - start
     if not found:
         return Verdict(Outcome.ALL_GOOD, None, nodes, elapsed, leaves)
@@ -325,20 +334,21 @@ def search_rs(
     buckets = _value_set_buckets(m, t, n)
     total_nodes = 0
     previous = Coloring(n=n, colors=(1,) * n, r=1)
-    for r in range(2, n + 1):
-        found, nodes, _ = _scan(buckets, t, n, r, budget, total_nodes, deadline, True)
-        total_nodes += nodes
-        if not found:
-            return ComputedNumber(
-                r,
-                Method.SEARCH,
-                previous,
-                nodes=total_nodes,
-                elapsed=time.monotonic() - start,
-            )
-        previous = Coloring(n=n, colors=found[0], r=r)
-        if witness_sink is not None:
-            witness_sink.append((r, previous))
+    with _pool(budget.threads) as pool:
+        for r in range(2, n + 1):
+            found, nodes, _ = _scan(buckets, t, n, r, budget, total_nodes, deadline, True, pool)
+            total_nodes += nodes
+            if not found:
+                return ComputedNumber(
+                    r,
+                    Method.SEARCH,
+                    previous,
+                    nodes=total_nodes,
+                    elapsed=time.monotonic() - start,
+                )
+            previous = Coloring(n=n, colors=found[0], r=r)
+            if witness_sink is not None:
+                witness_sink.append((r, previous))
     raise AssertionError(
         "unreachable: the all-singleton coloring contains a t-colored solution"
     )

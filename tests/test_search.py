@@ -4,7 +4,7 @@ import concurrent.futures
 import os
 import subprocess
 import sys
-from concurrent.futures import Future
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -21,6 +21,7 @@ from rschur import (
     construct_rainbow_lower,
     has_t_colored_solution,
     merge_classes,
+    min_n_weak,
     rs3_formula,
     rs_formula,
     search_rs,
@@ -29,25 +30,39 @@ from rschur import (
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Replace the process pool by one that runs each task in this process;
-    returns the list of pools created."""
+    """Replace the process pool by one that runs each task in this process
+    when its result is read, so a cancelled task never runs; returns the
+    list of pools created."""
     pools = []
+
+    class InlineTask:
+        def __init__(self, fn, args):
+            self.call = partial(fn, *args)
+
+        def result(self):
+            return self.call()
+
+        def cancel(self):
+            self.call = None
 
     class InlinePool:
         def __init__(self, max_workers):
             self.max_workers = max_workers
+            self.tasks = []
             pools.append(self)
 
         def submit(self, fn, *args):
-            future = Future()
-            try:
-                future.set_result(fn(*args))
-            except Exception as exc:
-                future.set_exception(exc)
-            return future
+            self.tasks.append(args)
+            return InlineTask(fn, args)
 
         def shutdown(self, cancel_futures=False):
             pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.shutdown()
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return pools
@@ -125,6 +140,20 @@ class TestEngineModes:
         v = all_colorings_good(3, 2, 7, 3, eager_prune=False)
         assert v.leaves == stirling2(7, 3) == 301
 
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_pruning_agrees_with_the_leaf_check(self, m):
+        # eager_prune=False tests every solution at the leaves only, so it
+        # checks the admissible-color masks: a mask that forbids too much
+        # loses counterexamples, one that forbids too little reports
+        # colorings that are none
+        for t in range(2, m + 1):
+            for n in range(min_n_weak(t, m), 10):
+                for r in range(t, n + 1):
+                    eager = all_colorings_good(m, t, n, r)
+                    lazy = all_colorings_good(m, t, n, r, eager_prune=False)
+                    assert eager.witness == lazy.witness, (m, t, n, r)
+                    assert eager.leaves <= lazy.leaves, (m, t, n, r)
+
     def test_pruning_only_saves_work(self):
         lazy = all_colorings_good(3, 3, 9, 4, eager_prune=False)
         eager = all_colorings_good(3, 3, 9, 4)
@@ -155,6 +184,13 @@ class TestEngineModes:
         v = all_colorings_good(3, 3, 9, 5, SearchBudget(threads=64))
         assert v.outcome is Outcome.ALL_GOOD
         assert [pool.max_workers for pool in inline_pool] == [workers]
+
+    def test_one_pool_per_call(self, inline_pool):
+        result = search_rs(4, 4, 10, SearchBudget(threads=2))
+        assert result.value == search_rs(4, 4, 10).value
+        assert len(inline_pool) == 1
+        # the pool served the subtrees of several r
+        assert len({args[3] for args in inline_pool[0].tasks}) > 1
 
     def test_buckets_built_once_per_call(self, inline_pool, monkeypatch):
         calls = []
@@ -188,7 +224,7 @@ class TestEngineModes:
             v = all_colorings_good(m, t, n, r, eager_prune=eager_prune)
             assert calls == []
             found, nodes, leaves = search_module._scan(
-                build(m, t, n), t, n, r, SearchBudget(), 0, None, eager_prune
+                build(m, t, n), t, n, r, SearchBudget(), 0, None, eager_prune, None
             )
             assert v.outcome is Outcome.COUNTEREXAMPLE
             assert (v.witness.colors, v.nodes_explored, v.leaves) == (found[0], nodes, leaves)
@@ -273,6 +309,31 @@ class TestBudgets:
         assert clone.nodes == 6
         assert clone.frontier == (1, 1, 2)
         assert str(clone) == str(exc)
+
+
+class TestNodeCounts:
+    """Node counts are deterministic, so they are pinned exactly: a change
+    to the kernel that visits other nodes shows here even when every
+    verdict still agrees."""
+
+    @pytest.mark.parametrize(
+        "m,t,n,value,nodes,witness",
+        [
+            (3, 3, 18, 6, 109_163, (1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1, 5, 1, 2)),
+            (4, 4, 18, 12, 70_899, (1,) * 8 + tuple(range(2, 12))),
+            (5, 5, 19, 16, 28_746, (1,) * 5 + tuple(range(2, 16))),
+            (4, 3, 16, 4, 33_174, (1,) * 14 + (2, 3)),
+            (5, 4, 15, 11, 10_574, (1,) * 6 + tuple(range(2, 11))),
+        ],
+    )
+    def test_search_rs(self, inline_pool, m, t, n, value, nodes, witness):
+        result = search_rs(m, t, n)
+        assert (result.value, result.nodes, result.witness.colors) == (value, nodes, witness)
+        # the split and the prefix-order reading decide the parallel
+        # witness; the in-process pool runs them without spawning workers
+        par = search_rs(m, t, n, SearchBudget(threads=2))
+        assert (par.value, par.witness) == (value, result.witness)
+        assert inline_pool
 
 
 class TestSearchRs:
