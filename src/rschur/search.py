@@ -11,9 +11,18 @@ smaller than the total); extending the coloring never removes colors from it,
 so a color that gives it t distinct colors is never tried.  On entering x one
 pass over those solutions ORs each one's summand bits, 1 << color, into a mask
 with k bits set, which rules out every color at k >= t and every color outside
-the mask at k = t - 1.  Branches that can no longer reach exactly r colors are
-abandoned as well.  For t = m only solutions with pairwise distinct values are
-tracked, since repeated values share a color.
+the mask at k = t - 1.  For t = m only solutions with pairwise distinct values
+are tracked, since repeated values share a color.
+
+An exact r-coloring must still introduce each missing color at its own
+position.  A position y is closed once some solution with total y has all its
+summands colored and they show at least t - 1 colors: a color first used at y
+would complete a t-colored solution.  Colored summands keep their colors, so
+a closed position stays closed along the path.  A branch with `used` colors is
+abandoned when fewer than r - used positions ahead are still open.  Solutions
+are indexed by their largest summand, so coloring x closes totals in one pass
+over the solutions that x completes; closings are undone on backtrack.  Both
+rules apply only with eager_prune=True.
 
 One kernel, a depth-bounded DFS, does all the scanning.  Run to depth n it
 visits colorings in lexicographic order of their growth strings and reports
@@ -106,6 +115,19 @@ def _value_set_buckets(m: int, t: int, n: int) -> list[list[tuple[int, ...]]]:
     return buckets
 
 
+def _closers_by_largest(
+    buckets: list[list[tuple[int, ...]]],
+) -> list[list[tuple[tuple[int, ...], int]]]:
+    """closers[x] pairs the other summand values of each bucket entry whose
+    largest summand is x with its total: once x is colored, those summands
+    are all colored and their colors are fixed for the rest of the path."""
+    closers: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in buckets]
+    for total, bucket in enumerate(buckets):
+        for vals in bucket:
+            closers[vals[-1]].append((vals[:-1], total))
+    return closers
+
+
 def _is_counterexample(colors: list[int], buckets: list[list[tuple[int, ...]]], t: int) -> bool:
     for x, bucket in enumerate(buckets):
         for vals in bucket:
@@ -116,6 +138,7 @@ def _is_counterexample(colors: list[int], buckets: list[list[tuple[int, ...]]], 
 
 def _search(
     buckets: list[list[tuple[int, ...]]],
+    closers: list[list[tuple[tuple[int, ...], int]]],
     t: int,
     n: int,
     r: int,
@@ -140,12 +163,34 @@ def _search(
     """
     colors = [0, *prefix] + [0] * (n - len(prefix))
     bits = [1 << c for c in colors]
+    # closed[y]: some solution with total y has colored summands showing
+    # t - 1 colors, so a color first used at y would complete t of them
+    closed = [False] * (n + 1)
+    trail: list[int] = []  # closings along the current path, for undo
     survivors: list[tuple[int, ...]] = []
     nodes = 0
     leaves = 0
 
-    def dfs(x: int, used: int) -> bool:
+    def close(x: int) -> int:
+        """Close the totals that the coloring of x completes; returns how many."""
+        closings = 0
+        for others, y in closers[x]:
+            if not closed[y]:
+                mask = bits[x]
+                for v in others:
+                    mask |= bits[v]
+                if mask.bit_count() >= t - 1:
+                    closed[y] = True
+                    trail.append(y)
+                    closings += 1
+        return closings
+
+    def dfs(x: int, used: int, free: int) -> bool:
+        """free counts the open positions in [x, n]."""
         nonlocal nodes, leaves
+        # each missing color first appears at its own open position
+        if eager_prune and free < r - used:
+            return False
         allowed = -1  # bit c: color c at x completes no t-colored solution
         if eager_prune:
             for vals in buckets[x]:
@@ -162,6 +207,7 @@ def _search(
         # an old color leaves `used` unchanged, so it is only viable while
         # enough positions remain to introduce the missing colors
         lo = 1 if used + (n - x) >= r else used + 1
+        free_after = free - (not closed[x])
         for c in range(lo, cap + 1):
             nodes += 1
             # the clock is read on the first node too, so a subtree started
@@ -179,7 +225,11 @@ def _search(
             colors[x] = c
             bits[x] = 1 << c
             if x < depth:
-                if dfs(x + 1, used if c <= used else c):
+                closings = close(x) if eager_prune else 0
+                found = dfs(x + 1, used if c <= used else c, free_after - closings)
+                for _ in range(closings):
+                    closed[trail.pop()] = False
+                if found:
                     return True
             elif x < n:
                 survivors.append(tuple(colors[1 : x + 1]))
@@ -190,7 +240,10 @@ def _search(
                     return True
         return False
 
-    dfs(len(prefix) + 1, max(prefix, default=0))
+    start = len(prefix) + 1
+    for x in range(1, start):
+        close(x)
+    dfs(start, max(prefix, default=0), closed[start:].count(False))
     return survivors, nodes, leaves
 
 
@@ -206,6 +259,7 @@ def _pool(threads: int):
 
 def _scan(
     buckets: list[list[tuple[int, ...]]],
+    closers: list[list[tuple[tuple[int, ...], int]]],
     t: int,
     n: int,
     r: int,
@@ -229,12 +283,14 @@ def _scan(
     nodes = 0  # of the split and of the subtrees read so far
     try:
         if budget.threads == 1 or n == 1:
-            return _search(buckets, t, n, r, (), n, left, deadline, eager_prune)
+            return _search(buckets, closers, t, n, r, (), n, left, deadline, eager_prune)
         prefixes, nodes, leaves = _search(
-            buckets, t, n, r, (), min(SPLIT_DEPTH, n - 1), left, deadline, eager_prune
+            buckets, closers, t, n, r, (), min(SPLIT_DEPTH, n - 1), left, deadline, eager_prune
         )
         futures = [
-            pool.submit(_search, buckets, t, n, r, prefix, n, left - nodes, deadline, eager_prune)
+            pool.submit(
+                _search, buckets, closers, t, n, r, prefix, n, left - nodes, deadline, eager_prune
+            )
             for prefix in prefixes
         ]
         try:
@@ -286,8 +342,11 @@ def all_colorings_good(
     # with fewer than t colors no solution can show t, so no prune can fire
     # and every complete coloring is a counterexample: the index is not needed
     buckets = _value_set_buckets(m, t, n) if r >= t else [[]] * (n + 1)
+    closers = _closers_by_largest(buckets)
     with _pool(budget.threads) as pool:
-        found, nodes, leaves = _scan(buckets, t, n, r, budget, 0, deadline, eager_prune, pool)
+        found, nodes, leaves = _scan(
+            buckets, closers, t, n, r, budget, 0, deadline, eager_prune, pool
+        )
     elapsed = time.monotonic() - start
     if not found:
         return Verdict(Outcome.ALL_GOOD, None, nodes, elapsed, leaves)
@@ -332,11 +391,14 @@ def search_rs(
         )
     deadline = start + budget.time_limit if budget.time_limit is not None else None
     buckets = _value_set_buckets(m, t, n)
+    closers = _closers_by_largest(buckets)
     total_nodes = 0
     previous = Coloring(n=n, colors=(1,) * n, r=1)
     with _pool(budget.threads) as pool:
         for r in range(2, n + 1):
-            found, nodes, _ = _scan(buckets, t, n, r, budget, total_nodes, deadline, True, pool)
+            found, nodes, _ = _scan(
+                buckets, closers, t, n, r, budget, total_nodes, deadline, True, pool
+            )
             total_nodes += nodes
             if not found:
                 return ComputedNumber(

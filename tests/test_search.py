@@ -21,7 +21,6 @@ from rschur import (
     construct_rainbow_lower,
     has_t_colored_solution,
     merge_classes,
-    min_n_weak,
     rs3_formula,
     rs_formula,
     search_rs,
@@ -142,15 +141,17 @@ class TestEngineModes:
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_pruning_agrees_with_the_leaf_check(self, m):
-        # eager_prune=False tests every solution at the leaves only, so it
-        # checks the admissible-color masks: a mask that forbids too much
-        # loses counterexamples, one that forbids too little reports
-        # colorings that are none
+        # eager_prune=False tests every solution at the leaves only and
+        # applies neither the admissible-color masks nor the capacity rule,
+        # so it checks both: a rule that prunes too much loses
+        # counterexamples, one that forbids too little reports colorings
+        # that are none
         for t in range(2, m + 1):
-            for n in range(min_n_weak(t, m), 10):
-                for r in range(t, n + 1):
+            for n in range(1, 11):
+                for r in range(1, n + 1):
                     eager = all_colorings_good(m, t, n, r)
                     lazy = all_colorings_good(m, t, n, r, eager_prune=False)
+                    assert eager.outcome is lazy.outcome, (m, t, n, r)
                     assert eager.witness == lazy.witness, (m, t, n, r)
                     assert eager.leaves <= lazy.leaves, (m, t, n, r)
 
@@ -190,23 +191,35 @@ class TestEngineModes:
         assert result.value == search_rs(4, 4, 10).value
         assert len(inline_pool) == 1
         # the pool served the subtrees of several r
-        assert len({args[3] for args in inline_pool[0].tasks}) > 1
+        assert len({args[4] for args in inline_pool[0].tasks}) > 1
 
     def test_buckets_built_once_per_call(self, inline_pool, monkeypatch):
         calls = []
         build = search_module._value_set_buckets
+        index = search_module._closers_by_largest
 
         def spy(*args):
             calls.append(args)
             return build(*args)
 
+        def index_spy(buckets):
+            calls.append("closers")
+            return index(buckets)
+
         monkeypatch.setattr(search_module, "_value_set_buckets", spy)
+        monkeypatch.setattr(search_module, "_closers_by_largest", index_spy)
         search_rs(4, 4, 8)
-        assert calls == [(4, 4, 8)]
+        assert calls == [(4, 4, 8), "closers"]
+        calls.clear()
+        search_rs(4, 4, 10, SearchBudget(threads=2))
+        assert calls == [(4, 4, 10), "closers"]
         calls.clear()
         all_colorings_good(3, 3, 9, 4, SearchBudget(threads=2))
-        assert calls == [(3, 3, 9)]
-        assert len(inline_pool) == 1
+        assert calls == [(3, 3, 9), "closers"]
+        assert len(inline_pool) == 2
+        # the workers got the index built by the call
+        closers = index(build(3, 3, 9))
+        assert all(args[1] == closers for args in inline_pool[1].tasks)
 
     @pytest.mark.parametrize("eager_prune", [True, False])
     def test_no_buckets_below_t_colors(self, monkeypatch, eager_prune):
@@ -223,8 +236,10 @@ class TestEngineModes:
         for m, t, n, r in [(4, 3, 16, 2), (5, 5, 9, 4), (6, 4, 8, 3), (3, 3, 1, 1)]:
             v = all_colorings_good(m, t, n, r, eager_prune=eager_prune)
             assert calls == []
+            buckets = build(m, t, n)
+            closers = search_module._closers_by_largest(buckets)
             found, nodes, leaves = search_module._scan(
-                build(m, t, n), t, n, r, SearchBudget(), 0, None, eager_prune, None
+                buckets, closers, t, n, r, SearchBudget(), 0, None, eager_prune, None
             )
             assert v.outcome is Outcome.COUNTEREXAMPLE
             assert (v.witness.colors, v.nodes_explored, v.leaves) == (found[0], nodes, leaves)
@@ -258,17 +273,17 @@ class TestBudgets:
             )
 
     def test_parallel_time_limit_bounds_the_whole_call(self):
-        # every subtree alone finishes well inside the limit; together they
-        # take several seconds
+        # every subtree alone takes at most 12,461 nodes, a few hundredths
+        # of a second; together they take 1,532,948, several seconds
         budget = SearchBudget(time_limit=0.5, threads=2)
         with pytest.raises(BudgetExceeded):
-            all_colorings_good(3, 3, 24, 6, budget)
+            all_colorings_good(3, 3, 40, 7, budget)
 
     def test_search_rs_budget_covers_every_r(self):
-        # r = 2..5 take 14, 260, 2783 and 5050 nodes: each fits in 6000
+        # r = 2..6 take 22, 42, 700, 5112 and 4796 nodes: each fits in 6000
         # alone, but together they do not
         with pytest.raises(BudgetExceeded) as info:
-            search_rs(3, 3, 14, SearchBudget(max_nodes=6000))
+            search_rs(3, 3, 22, SearchBudget(max_nodes=6000))
         assert info.value.nodes == 6001
         # r = 2 takes exactly 7 nodes, so the budget runs out at the end of
         # an r; the first node of r = 3 is the one past the budget
@@ -278,10 +293,10 @@ class TestBudgets:
         assert info.value.frontier
 
     def test_parallel_node_budget_covers_the_whole_call(self):
-        # the largest subtree takes 1,185 nodes, well inside the budget;
-        # the split and all 149 subtrees together take 138,968
+        # the largest subtree takes 848 nodes, well inside the budget; the
+        # split and all 149 subtrees together take 98,869
         with pytest.raises(BudgetExceeded) as info:
-            all_colorings_good(3, 3, 20, 6, SearchBudget(max_nodes=50_000, threads=2))
+            all_colorings_good(3, 3, 32, 7, SearchBudget(max_nodes=50_000, threads=2))
         assert info.value.nodes > 50_000
 
     def test_parallel_budget_propagates(self):
@@ -319,11 +334,11 @@ class TestNodeCounts:
     @pytest.mark.parametrize(
         "m,t,n,value,nodes,witness",
         [
-            (3, 3, 18, 6, 109_163, (1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1, 5, 1, 2)),
-            (4, 4, 18, 12, 70_899, (1,) * 8 + tuple(range(2, 12))),
-            (5, 5, 19, 16, 28_746, (1,) * 5 + tuple(range(2, 16))),
-            (4, 3, 16, 4, 33_174, (1,) * 14 + (2, 3)),
-            (5, 4, 15, 11, 10_574, (1,) * 6 + tuple(range(2, 11))),
+            (3, 3, 18, 6, 2_892, (1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1, 5, 1, 2)),
+            (4, 4, 18, 12, 849, (1,) * 8 + tuple(range(2, 12))),
+            (5, 5, 19, 16, 595, (1,) * 5 + tuple(range(2, 16))),
+            (4, 3, 16, 4, 181, (1,) * 14 + (2, 3)),
+            (5, 4, 15, 11, 258, (1,) * 6 + tuple(range(2, 11))),
         ],
     )
     def test_search_rs(self, inline_pool, m, t, n, value, nodes, witness):
@@ -334,6 +349,31 @@ class TestNodeCounts:
         par = search_rs(m, t, n, SearchBudget(threads=2))
         assert (par.value, par.witness) == (value, result.witness)
         assert inline_pool
+
+    @pytest.mark.parametrize(
+        "n,value,nodes,witness",
+        [
+            # 1 off the multiples of 3, and 2 + the 2-adic valuation of x / 3
+            # on them
+            (
+                28,
+                6,
+                53_885,
+                [1 if x % 3 else (x // 3 & -(x // 3)).bit_length() + 1 for x in range(1, 29)],
+            ),
+            # 1 + the 2-adic valuation of x
+            (32, 7, 236_193, [(x & -x).bit_length() for x in range(1, 33)]),
+        ],
+    )
+    def test_rainbow_frontier(self, n, value, nodes, witness):
+        # instances the scan reaches only with the capacity rule; the budget
+        # makes a weaker rule fail fast instead of running for minutes
+        result = search_rs(3, 3, n, SearchBudget(max_nodes=10**6))
+        assert (result.value, result.nodes) == (value, nodes)
+        assert result.witness.colors == tuple(witness)
+        assert result.witness.r == value - 1
+        found, _ = has_t_colored_solution(result.witness, 3, 3)
+        assert not found
 
 
 class TestSearchRs:
