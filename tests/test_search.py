@@ -326,28 +326,52 @@ class TestBudgets:
         assert str(clone) == str(exc)
 
 
+# (m, t, n, value, nodes under the admissible-color masks alone, nodes with
+# the capacity rule as well, one-thread witness)
+_PINNED = [
+    (3, 3, 18, 6, 109_163, 2_892, (1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1, 5, 1, 2)),
+    (4, 4, 18, 12, 70_899, 849, (1,) * 8 + tuple(range(2, 12))),
+    (5, 5, 19, 16, 28_746, 595, (1,) * 5 + tuple(range(2, 16))),
+    (4, 3, 16, 4, 33_174, 181, (1,) * 14 + (2, 3)),
+    (5, 4, 15, 11, 10_574, 258, (1,) * 6 + tuple(range(2, 11))),
+]
+
+
+def _no_closings(buckets):
+    """An empty closing index: no position ever closes, so the capacity rule
+    only counts the positions left, which the color loop already does."""
+    return [[] for _ in buckets]
+
+
 class TestNodeCounts:
     """Node counts are deterministic, so they are pinned exactly: a change
     to the kernel that visits other nodes shows here even when every
     verdict still agrees."""
 
-    @pytest.mark.parametrize(
-        "m,t,n,value,nodes,witness",
-        [
-            (3, 3, 18, 6, 2_892, (1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1, 5, 1, 2)),
-            (4, 4, 18, 12, 849, (1,) * 8 + tuple(range(2, 12))),
-            (5, 5, 19, 16, 595, (1,) * 5 + tuple(range(2, 16))),
-            (4, 3, 16, 4, 181, (1,) * 14 + (2, 3)),
-            (5, 4, 15, 11, 258, (1,) * 6 + tuple(range(2, 11))),
-        ],
-    )
-    def test_search_rs(self, inline_pool, m, t, n, value, nodes, witness):
+    @staticmethod
+    def _check(m, t, n, value, nodes, witness):
         result = search_rs(m, t, n)
         assert (result.value, result.nodes, result.witness.colors) == (value, nodes, witness)
         # the split and the prefix-order reading decide the parallel
         # witness; the in-process pool runs them without spawning workers
         par = search_rs(m, t, n, SearchBudget(threads=2))
         assert (par.value, par.witness) == (value, result.witness)
+
+    @pytest.mark.parametrize(
+        "m,t,n,value,nodes,witness", [(m, t, n, v, masks, w) for m, t, n, v, masks, _, w in _PINNED]
+    )
+    def test_search_rs(self, inline_pool, monkeypatch, m, t, n, value, nodes, witness):
+        # the admissible-color masks alone, apart from the capacity rule
+        monkeypatch.setattr(search_module, "_closers_by_largest", _no_closings)
+        self._check(m, t, n, value, nodes, witness)
+        assert inline_pool
+
+    @pytest.mark.parametrize(
+        "m,t,n,value,nodes,witness", [(m, t, n, v, cap, w) for m, t, n, v, _, cap, w in _PINNED]
+    )
+    def test_search_rs_capacity(self, inline_pool, m, t, n, value, nodes, witness):
+        # the full kernel: same values and witnesses, fewer nodes
+        self._check(m, t, n, value, nodes, witness)
         assert inline_pool
 
     @pytest.mark.parametrize(
