@@ -33,9 +33,7 @@ from .errors import (
     ColoringParseError,
     DomainError,
     EmptyInput,
-    OutsideTheoremDomain,
     RainbowSchurError,
-    UnsupportedM,
 )
 from .formulas import (
     ComputedNumber,
@@ -69,12 +67,10 @@ __all__ = [
     "EmptyInput",
     "Method",
     "Outcome",
-    "OutsideTheoremDomain",
     "ProblemParams",
     "RainbowSchurError",
     "SchurSolution",
     "SearchBudget",
-    "UnsupportedM",
     "Verdict",
     "all_colorings_good",
     "canonicalize",

@@ -25,12 +25,7 @@ from .colorings import (
     surplus_count,
 )
 from .equations import enumerate_solutions
-from .errors import (
-    BudgetExceeded,
-    ColoringParseError,
-    DomainError,
-    OutsideTheoremDomain,
-)
+from .errors import BudgetExceeded, ColoringParseError, DomainError
 from .formulas import (
     ProblemParams,
     compute_by_formula,
@@ -81,15 +76,6 @@ def _resolve_budget(args) -> SearchBudget:
     )
 
 
-def _note_exploratory(m: int, t: int, n: int) -> None:
-    if t == 2 and n < 2 * m - 4:
-        print(
-            f"note: no closed form covers t = 2 with n < 2m - 4 = {2 * m - 4}; "
-            "this search result is exploratory",
-            file=sys.stderr,
-        )
-
-
 def cmd_formula(args) -> int:
     t = args.t if args.t is not None else args.m
     ProblemParams(args.m, t, args.n)
@@ -116,7 +102,6 @@ def cmd_search(args) -> int:
     print(f"method: {result.method.value}")
     print(f"nodes explored: {result.nodes}")
     print(f"elapsed: {result.elapsed * 1000.0:.0f} ms")
-    _note_exploratory(args.m, t, args.n)
     witness = result.witness
     if witness is not None:
         print(f"witness with {witness.r} colors: {list(witness.colors)}")
@@ -171,23 +156,49 @@ def cmd_verify(args) -> int:
                 "millis": millis,
             }
         )
-    exploratory = [row["formula"] is None and row["search"] is not None for row in rows]
     if args.format == "tsv":
         print("\t".join(rows[0]))
         for row in rows:
             print("\t".join("" if v is None else json.dumps(v) for v in row.values()))
     else:
-        for row, oracle_only in zip(rows, exploratory):
-            print(json.dumps({**row, "exploratory": oracle_only}, sort_keys=True))
-    if any(exploratory):
-        print(
-            "note: rows without a formula value are oracle-only (no closed form "
-            "applies at that n)",
-            file=sys.stderr,
-        )
+        for row in rows:
+            print(json.dumps(row, sort_keys=True))
     if any_skipped or any(row["agree"] is False for row in rows):
         return EXIT_BUDGET_OR_MISMATCH
     return EXIT_OK
+
+
+def _runs(values: list[int]) -> list[list[int]]:
+    """Maximal runs [a, b] of consecutive integers in an ascending list."""
+    runs: list[list[int]] = []
+    for x in values:
+        if runs and runs[-1][1] == x - 1:
+            runs[-1][1] = x
+        else:
+            runs.append([x, x])
+    return runs
+
+
+def _class_summary(coloring) -> str:
+    """The classes in words: each shared class as a block, a progression
+    {a, b, ..., z} or a union of intervals, then the singletons."""
+    shared, singles = [], []
+    for members in coloring.classes():
+        gaps = {b - a for a, b in zip(members, members[1:])}
+        if len(members) == 1:
+            singles.append(members[0])
+        elif gaps == {1}:
+            shared.append(f"block [{members[0]}, {members[-1]}]")
+        elif len(gaps) == 1:
+            shown = members if len(members) <= 3 else members[:2] + ["...", members[-1]]
+            shared.append("{" + ", ".join(map(str, shown)) + "}")
+        else:
+            shared.append(" u ".join(f"[{a}, {b}]" for a, b in _runs(members)))
+    text = ", ".join(shared)
+    if singles:
+        listed = ", ".join(f"{a}..{b}" if a < b else f"{a}" for a, b in _runs(singles))
+        text = f"{text} plus singletons {listed}" if text else f"singletons {listed}"
+    return text
 
 
 def cmd_construct(args) -> int:
@@ -203,12 +214,10 @@ def cmd_construct(args) -> int:
             file=sys.stderr,
         )
         return EXIT_PROPERTY_FALSE
-    head = sum(1 for c in coloring.colors if c == 1)
     document = coloring_to_json(coloring)
     summary = [
         f"n: {coloring.n}",
-        f"classes: block [1, {head}]"
-        + (f" plus singletons {head + 1}..{coloring.n}" if head < coloring.n else ""),
+        f"classes: {_class_summary(coloring)}",
         f"colors used: {coloring.r} (one below {_rs_name(args.m, t)}({args.n}) = {target})",
         f"self-check: no solution shows >= {t} distinct colors",
     ]
@@ -344,9 +353,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except OutsideTheoremDomain as exc:
-        print(f"rschur: outside the proven domain: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except ColoringParseError as exc:
         print(f"rschur: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -236,29 +236,34 @@ def has_t_colored_solution(
 
 
 def construct_rainbow_lower(m: int, n: int) -> Coloring:
-    """Extremal coloring showing RS_m(n) > rs_formula(m, n) - 1, for m >= 4.
+    """Extremal coloring showing RS_m(n) > rs_formula(m, n) - 1.
 
-    The weak construction at t = m: one block [1, head] with
-    head = n + 2 - rs_formula(m, n), then singletons.  Every solution with
-    strictly increasing summands has its two smallest summands inside the
-    block, so no solution is rainbow.
+    The weak construction at t = m.  For m >= 4 it is one block [1, head]
+    with head = n + 2 - rs_formula(m, n), then singletons: every solution
+    with strictly increasing summands has its two smallest summands inside
+    the block, so no solution is rainbow.  At m = 3 it is the 2-adic
+    coloring.
     """
     return construct_weak_lower(m, m, n)
 
 
 def construct_weak_lower(t: int, m: int, n: int) -> Coloring:
     """Extremal coloring with rs_weak_formula(t, m, n) - 1 colors and no
-    solution showing t distinct colors; needs t >= 3.
+    solution showing t distinct colors, on the whole domain of the formula.
 
-    One block [1, n + 2 - k] plus singletons, where
-    k = rs_weak_formula(t, m, n).
+    - t = 2: one class [1, n - m + 2] and [m - 1, n], the values that occur
+      in solutions, and every other value a singleton.
+    - t = m = 3: x colored by its 2-adic valuation, (x & -x).bit_length().
+      No x + y = z is rainbow: if x and y differ in valuation, z has the
+      smaller one, and otherwise x and y share a color.
+    - otherwise: one block [1, n + 2 - k] plus singletons, where
+      k = rs_weak_formula(t, m, n).
     """
-    if t < 3:
-        raise DomainError(
-            f"the block construction needs t >= 3, got {t}; "
-            "at t = 2 the value is the constant 2"
-        )
     k = rs_weak_formula(t, m, n)
+    if t == 2:
+        return canonicalize([x if n - m + 2 < x < m - 1 else 0 for x in range(1, n + 1)])
+    if m == 3:
+        return canonicalize([(x & -x).bit_length() for x in range(1, n + 1)])
     head = n + 2 - k
     return Coloring(
         n=n,

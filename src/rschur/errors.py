@@ -9,14 +9,6 @@ class DomainError(RainbowSchurError, ValueError):
     """Arguments fall outside an operation's stated domain."""
 
 
-class UnsupportedM(DomainError):
-    """The general closed form does not cover m = 3; use rs3_formula."""
-
-
-class OutsideTheoremDomain(DomainError):
-    """No closed form is known for these arguments; use the search oracle."""
-
-
 class EmptyInput(DomainError):
     """A coloring needs at least one element."""
 

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, OutsideTheoremDomain, UnsupportedM
+from .errors import DomainError
 
 if TYPE_CHECKING:
     from .colorings import Coloring
@@ -45,18 +45,6 @@ class ProblemParams:
             raise DomainError(f"t must lie in [2, m] = [2, {self.m}], got {self.t}")
         if self.n < 1:
             raise DomainError(f"n must be at least 1, got {self.n}")
-
-    @property
-    def rainbow(self) -> bool:
-        return self.t == self.m
-
-    def in_rainbow_domain(self) -> bool:
-        """True when the rainbow closed form applies to this instance."""
-        return self.t == self.m and self.n >= min_n_rainbow(self.m)
-
-    def in_weak_domain(self) -> bool:
-        """True when t < m and n is large enough for a t-colorable solution."""
-        return self.t < self.m and self.n >= min_n_weak(self.t, self.m)
 
 
 class Method(enum.Enum):
@@ -119,53 +107,51 @@ def rs3_formula(n: int) -> int:
 
 
 def rs_formula(m: int, n: int) -> int:
-    """RS_m(n) = ceil(((m-3)n + m(m-1)/2) / (m-2)) for m >= 4, n >= m(m-1)/2.
+    """RS_m(n) for m >= 3 and n >= m(m-1)/2: the weak case at t = m.
 
-    The rainbow case is the weak case at t = m.
+    That is ceil(((m-3)n + m(m-1)/2) / (m-2)) for m >= 4 and the logarithmic
+    law rs3_formula at m = 3.
     """
     return rs_weak_formula(m, m, n)
 
 
 def rs_weak_formula(t: int, m: int, n: int) -> int:
-    """RS_{t,m}(n) in closed form.
+    """RS_{t,m}(n) in closed form, for every m >= 3, 2 <= t <= m and
+    n >= min_n_weak(t, m); below that n the value is undefined.
 
-    For t = 2 the value is the constant 2 once n >= 2m - 4; below that
-    threshold no closed form is known and OutsideTheoremDomain is raised
-    (the search oracle still applies there).  For 3 <= t <= m with m >= 4 and
-    n >= t(t-1)/2 + m - t the value is
-    ceil(((t-3)n + t(t-1)/2 + m - t) / (t-2)), which reduces to m at t = 3
-    and to the rainbow value RS_m(n) at t = m.
+    - t = m = 3: rs3_formula(n).
+    - 3 <= t <= m, m >= 4: ceil(((t-3)n + t(t-1)/2 + m - t) / (t-2)), which
+      reduces to m at t = 3 and to the rainbow value RS_m(n) at t = m.
+    - t = 2: max(2, 2m - 2 - n), the constant 2 from n = 2m - 4 on.
+
+    Sketch for t = 2.  Summands lie in [1, n - m + 2] and totals in
+    [m - 1, n], and each value v of those ranges lies in a solution with 1:
+    as the summand of 1 + ... + 1 + v or as the total of 1 + ... + 1 +
+    (v - m + 2).  So a coloring without a 2-colored solution gives all of
+    them the color of 1, and only the max(0, 2m - 4 - n) values strictly
+    between the ranges, which lie in no solution, are free.  Making each of
+    those a singleton attains the most colors, max(1, 2m - 3 - n).
     """
-    if m < 3:
-        raise DomainError(f"m must be at least 3, got {m}")
-    if not 2 <= t <= m:
-        raise DomainError(f"t must lie in [2, m] = [2, {m}], got {t}")
-    if t == 2:
-        if n < 2 * m - 4:
-            raise OutsideTheoremDomain(
-                f"no closed form for t = 2 below n = 2m - 4 = {2 * m - 4}; "
-                "use the search oracle"
-            )
-        return 2
-    if m == 3:
-        # here t = m = 3, the rainbow case with its own law
-        raise UnsupportedM("t = m = 3 follows a logarithmic law; use rs3_formula")
     least = min_n_weak(t, m)
     if n < least:
         raise DomainError(
             f"n must be at least t(t-1)/2 + m - t = {least}, got {n}"
         )
+    return _case(m, t)[1](t, m, n)
+
+
+def _ceil_form(t: int, m: int, n: int) -> int:
     return _ceil_div((t - 3) * n + t * (t - 1) // 2 + m - t, t - 2)
 
 
 # The closed forms, one row each: (applies to (m, t), value at (t, m, n),
-# statement).  formula_value and formula_description both take the first
+# statement).  rs_weak_formula and formula_description both take the first
 # row that applies, so the value and its statement cannot disagree.
 _CASES = (
     (lambda m, t: t == m == 3, lambda t, m, n: rs3_formula(n), "floor(log2(n)) + 2"),
-    (lambda m, t: t == m, rs_weak_formula, "ceil(((m - 3)*n + m*(m - 1)/2) / (m - 2))"),
-    (lambda m, t: t == 2, rs_weak_formula, "2 (constant for n >= 2m - 4)"),
-    (lambda m, t: True, rs_weak_formula, "ceil(((t - 3)*n + t*(t - 1)/2 + m - t) / (t - 2))"),
+    (lambda m, t: t == 2, lambda t, m, n: max(2, 2 * m - 2 - n), "max(2, 2m - 2 - n)"),
+    (lambda m, t: t == m, _ceil_form, "ceil(((m - 3)*n + m*(m - 1)/2) / (m - 2))"),
+    (lambda m, t: True, _ceil_form, "ceil(((t - 3)*n + t*(t - 1)/2 + m - t) / (t - 2))"),
 )
 
 
@@ -175,9 +161,7 @@ def _case(m: int, t: int):
 
 def formula_value(m: int, n: int, t: int | None = None) -> int:
     """Front door for all closed forms; t defaults to m (the rainbow case)."""
-    if t is None:
-        t = m
-    return _case(m, t)[1](t, m, n)
+    return rs_weak_formula(m if t is None else t, m, n)
 
 
 def compute_by_formula(m: int, n: int, t: int | None = None) -> ComputedNumber:

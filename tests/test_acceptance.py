@@ -65,10 +65,11 @@ def rainbow_grid():
 def weak_grid():
     """Oracle vs formula on the weakened grids, collecting every witness."""
     points = []
-    for n in range(4, 11):
-        points.append((2, 4, n, 2))
-    for n in range(6, 11):
-        points.append((2, 5, n, 2))
+    # t = 2 from the least n with a solution up to n = 10 or 2m - 2, across
+    # the start of the constant 2 at n = 2m - 4
+    for m in range(3, 12):
+        for n in range(m - 1, max(11, 2 * m - 1)):
+            points.append((2, m, n, max(2, 2 * m - 2 - n)))
     for m in (4, 5):
         for n in range(min_n_weak(3, m), 11):
             points.append((3, m, n, m))
@@ -96,14 +97,14 @@ def small_interval_example():
 
 @pytest.fixture(scope="module")
 def construction_grid():
-    """All block constructions for 4 <= m <= 9, n up to 60."""
+    """All constructions for 3 <= m <= 9, every t, n up to 60."""
     rainbow = []
-    for m in range(4, 10):
+    for m in range(3, 10):
         for n in range(min_n_rainbow(m), 61):
             rainbow.append((m, n, construct_rainbow_lower(m, n)))
     weak = []
-    for m in range(4, 10):
-        for t in range(3, m + 1):
+    for m in range(3, 10):
+        for t in range(2, m + 1):
             for n in range(min_n_weak(t, m), 61):
                 weak.append((t, m, n, construct_weak_lower(t, m, n)))
     return rainbow, weak
@@ -187,7 +188,7 @@ def test_criterion_4_constructions_are_extremal(construction_grid):
     elapsed = time.monotonic() - started
     report(
         4,
-        f"{len(rainbow)} rainbow and {len(weak)} weakened block constructions "
+        f"{len(rainbow)} rainbow and {len(weak)} weakened constructions "
         "use exactly one color below the formula value and survive a full "
         "solution scan",
         failures,
@@ -273,10 +274,13 @@ def test_criterion_6_property_suites(
                     ):
                         failures.append(("labels-witness", m, t, n, r))
 
-    # (d) under every rainbow block construction, each strictly increasing
-    # solution keeps its second-smallest summand inside the head block
+    # (d) under every rainbow block construction (m >= 4), each strictly
+    # increasing solution keeps its second-smallest summand inside the head
+    # block
     rainbow_constructions, _ = construction_grid
     for m, n, coloring in rainbow_constructions:
+        if m == 3:
+            continue
         head = sum(1 for c in coloring.colors if c == 1)
         for sol in enumerate_solutions(m, n, distinct=True):
             if sol.terms[1] > head:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rschur import formula_value, min_n_weak
 from rschur.cli import main
 
 
@@ -30,10 +31,17 @@ class TestFormula:
         assert code == 0
         assert "RS_{2,5}(6) = 2" in out
 
-    def test_below_constant_band_is_outside_domain(self, capsys):
-        code, _, err = run(capsys, "formula", "--m", "5", "--t", "2", "--n", "4")
+    def test_below_constant_band(self, capsys):
+        code, out, _ = run(capsys, "formula", "--m", "5", "--t", "2", "--n", "4")
+        assert code == 0
+        assert "RS_{2,5}(4) = 4" in out
+        assert "formula: max(2, 2m - 2 - n)" in out
+
+    def test_t2_below_least_n_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "formula", "--m", "6", "--t", "2", "--n", "3")
         assert code == 2
-        assert "outside the proven domain" in err
+        assert out == ""
+        assert "domain error: n must be at least t(t-1)/2 + m - t = 5, got 3" in err
 
     def test_small_n_is_domain_error(self, capsys):
         code, _, err = run(capsys, "formula", "--m", "4", "--n", "5")
@@ -83,11 +91,11 @@ class TestSearch:
         assert code == 0
         assert "undefined" in out
 
-    def test_exploratory_note_below_band(self, capsys):
+    def test_below_constant_band(self, capsys):
         code, out, err = run(capsys, "search", "--m", "6", "--t", "2", "--n", "6")
         assert code == 0
         assert "RS_{2,6}(6) = 4" in out
-        assert "exploratory" in err
+        assert err == ""
 
     def test_node_budget_flag(self, capsys):
         code, _, err = run(
@@ -143,11 +151,12 @@ class TestVerify:
         assert [row["n"] for row in rows] == [3, 4, 5, 6]
         for row in rows:
             assert row["agree"] is True
-            assert row["exploratory"] is False
+            assert sorted(row) == [
+                "agree", "formula", "m", "millis", "n", "nodes", "search", "t",
+            ]
 
-    def test_rows_without_formula_are_marked_exploratory(self, capsys):
-        # below n = 2m - 4 the constant-2 answer is not proven, but the
-        # oracle still reports a value there
+    def test_rows_below_constant_band_agree(self, capsys):
+        # below n = 2m - 4 the value is 2m - 2 - n
         code, out, err = run(
             capsys,
             "verify", "--m", "6", "--t", "2", "--n-from", "6", "--n-to", "8",
@@ -155,11 +164,17 @@ class TestVerify:
         )
         assert code == 0
         rows = [json.loads(line) for line in out.strip().splitlines()]
-        assert rows[0]["formula"] is None
-        assert rows[0]["search"] == 4
-        assert rows[0]["exploratory"] is True
-        assert rows[-1]["formula"] == 2 and rows[-1]["agree"] is True
-        assert "oracle-only" in err
+        assert [(row["formula"], row["search"]) for row in rows] == [(4, 4), (3, 3), (2, 2)]
+        assert all(row["agree"] is True for row in rows)
+        assert err == ""
+
+    def test_rows_below_least_n_are_undefined(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--m", "6", "--t", "2", "--n-from", "4", "--n-to", "5"
+        )
+        assert code == 0
+        rows = [line.split("\t")[:6] for line in out.strip().splitlines()[1:]]
+        assert rows == [["6", "2", "4", "", "", ""], ["6", "2", "5", "5", "5", "true"]]
 
     def test_budget_exhaustion_yields_exit_three(self, capsys):
         code, out, _ = run(
@@ -199,7 +214,36 @@ class TestConstruct:
 
     def test_domain_error(self, capsys):
         assert run(capsys, "construct", "--m", "4", "--n", "5")[0] == 2
-        assert run(capsys, "construct", "--m", "3", "--n", "10")[0] == 2
+        code, _, err = run(capsys, "construct", "--m", "6", "--t", "2", "--n", "4")
+        assert code == 2
+        assert "n must be at least" in err
+
+    def test_two_color_class_with_a_hole(self, capsys):
+        code, out, err = run(capsys, "construct", "--m", "6", "--t", "2", "--n", "6")
+        assert code == 0
+        assert json.loads(out)["colors"] == [1, 1, 2, 3, 1, 1]
+        assert "classes: [1, 2] u [5, 6] plus singletons 3..4" in err
+        assert "colors used: 3 (one below RS_{2,6}(6) = 4)" in err
+
+    def test_two_adic_coloring(self, capsys):
+        code, out, err = run(capsys, "construct", "--m", "3", "--n", "10")
+        assert code == 0
+        assert json.loads(out)["colors"] == [1, 2, 1, 3, 1, 2, 1, 4, 1, 2]
+        assert "classes: {1, 3, ..., 9}, {2, 6, 10} plus singletons 4, 8" in err
+        assert "colors used: 4 (one below RS_3(10) = 5)" in err
+
+    @pytest.mark.parametrize("m", range(3, 7))
+    def test_check_confirms_every_construction(self, capsys, tmp_path, m):
+        out_file = tmp_path / "coloring.json"
+        for t in range(2, m + 1):
+            for n in range(min_n_weak(t, m), 2 * m + 6):
+                value = formula_value(m, n, t)
+                flags = ("--m", str(m), "--t", str(t))
+                code, _, _ = run(capsys, "construct", *flags, "--n", str(n), "--out", str(out_file))
+                assert code == 0
+                code, out, _ = run(capsys, "check", *flags, str(out_file))
+                assert code == 1, (m, t, n)
+                assert f"colors used: {value - 1}\n" in out
 
 
 class TestCheck:

@@ -235,12 +235,33 @@ class TestConstructions:
             assert construct_weak_lower(m, m, n) == construct_rainbow_lower(m, n)
 
     def test_domains(self):
+        # the constructions cover the formula's domain, n >= min_n_weak(t, m)
         with pytest.raises(DomainError):
             construct_rainbow_lower(4, 5)
         with pytest.raises(DomainError):
-            construct_rainbow_lower(3, 10)
+            construct_rainbow_lower(3, 2)
         with pytest.raises(DomainError):
-            construct_weak_lower(2, 5, 10)
+            construct_weak_lower(2, 5, 3)
+        assert construct_weak_lower(2, 5, 4).r == rs_weak_formula(2, 5, 4) - 1
+        assert construct_rainbow_lower(3, 3).r == rs3_formula(3) - 1
+
+    def test_two_color_class(self):
+        # [1, n - m + 2] and [m - 1, n] share one color, the values between
+        # are singletons
+        c = construct_weak_lower(2, 7, 7)
+        assert c.classes() == [[1, 2, 6, 7], [3], [4], [5]]
+        assert c.r == rs_weak_formula(2, 7, 7) - 1 == 4
+        for n in range(10, 20):
+            assert construct_weak_lower(2, 7, n).r == 1
+
+    def test_two_adic(self):
+        c = construct_rainbow_lower(3, 12)
+        assert c.colors == (1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3)
+        assert c.r == rs3_formula(12) - 1
+        for n in range(3, 200):
+            c = construct_weak_lower(3, 3, n)
+            assert c.r == rs3_formula(n) - 1
+            assert not has_t_colored_solution(c, 3, 3)[0], n
 
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_rainbow_construction_avoids_rainbow(self, m):

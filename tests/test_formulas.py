@@ -8,9 +8,7 @@ from rschur import (
     ComputedNumber,
     DomainError,
     Method,
-    OutsideTheoremDomain,
     ProblemParams,
-    UnsupportedM,
     compute_by_formula,
     formula_value,
     min_n_rainbow,
@@ -70,8 +68,8 @@ class TestRsFormula:
         assert rs_formula(m, n) == expected
 
     def test_m3_needs_its_own_law(self):
-        with pytest.raises(UnsupportedM):
-            rs_formula(3, 10)
+        for n in range(3, 200):
+            assert rs_formula(3, n) == rs3_formula(n)
 
     def test_below_domain(self):
         with pytest.raises(DomainError):
@@ -103,23 +101,30 @@ class TestRsFormula:
 class TestWeakFormula:
     @pytest.mark.parametrize(
         "t,m,n,expected",
-        [(2, 5, 6, 2), (3, 4, 10, 4), (4, 5, 10, 9), (5, 5, 12, 12)],
+        [(2, 5, 6, 2), (2, 6, 5, 5), (2, 3, 2, 2), (3, 4, 10, 4), (4, 5, 10, 9),
+         (5, 5, 12, 12), (3, 3, 10, 5)],
     )
     def test_values(self, t, m, n, expected):
         assert rs_weak_formula(t, m, n) == expected
 
     def test_constant_band_boundary(self):
+        # RS_{2,m}(n) = max(2, 2m - 2 - n): the constant 2 starts at 2m - 4
         assert rs_weak_formula(2, 6, 8) == 2
-        with pytest.raises(OutsideTheoremDomain):
-            rs_weak_formula(2, 6, 7)
+        assert rs_weak_formula(2, 6, 7) == 3
+        assert [rs_weak_formula(2, 9, n) for n in range(8, 17)] == [8, 7, 6, 5, 4, 3, 2, 2, 2]
+        with pytest.raises(DomainError, match="n must be at least"):
+            rs_weak_formula(2, 6, 4)  # needs n >= m - 1 = 5
 
     def test_below_weak_threshold(self):
         with pytest.raises(DomainError):
             rs_weak_formula(4, 5, 6)  # needs n >= 7
 
     def test_t_equal_m_equal_3_deferred(self):
-        with pytest.raises(UnsupportedM):
-            rs_weak_formula(3, 3, 10)
+        # deferred to the logarithmic law
+        for n in range(3, 200):
+            assert rs_weak_formula(3, 3, n) == rs3_formula(n)
+        with pytest.raises(DomainError):
+            rs_weak_formula(3, 3, 2)
 
     @pytest.mark.parametrize("m", range(4, 10))
     def test_matches_rainbow_at_t_equal_m(self, m):
@@ -136,7 +141,7 @@ class TestWeakFormula:
         for _ in range(200):
             m = rng.randint(4, 12)
             n = rng.randint(min_n_rainbow(m), 4 * min_n_rainbow(m))
-            values = [rs_weak_formula(t, m, n) for t in range(3, m + 1)]
+            values = [rs_weak_formula(t, m, n) for t in range(2, m + 1)]
             assert values == sorted(values)
 
 
@@ -145,6 +150,8 @@ class TestFrontDoor:
         assert formula_value(3, 8) == 5
         assert formula_value(4, 100) == 53
         assert formula_value(5, 10, t=2) == 2
+        assert formula_value(6, 6, t=2) == 4
+        assert formula_value(3, 10, t=3) == 5
         assert formula_value(5, 10, t=4) == 9
         assert formula_value(4, 50, t=4) == rs_formula(4, 50)
 
@@ -159,15 +166,14 @@ class TestFrontDoor:
 class TestProblemParams:
     def test_valid(self):
         p = ProblemParams(m=5, t=5, n=12)
-        assert p.rainbow
-        assert p.in_rainbow_domain()
-        assert not p.in_weak_domain()
+        assert (p.m, p.t, p.n) == (5, 5, 12)
 
     def test_weak_domain(self):
-        p = ProblemParams(m=6, t=2, n=5)
-        assert not p.rainbow
-        assert p.in_weak_domain()
-        assert not ProblemParams(m=6, t=2, n=4).in_weak_domain()
+        # any n >= 1 is an instance; the value is defined from min_n_weak on
+        ProblemParams(m=6, t=2, n=4)
+        assert formula_value(6, 5, t=2) == 5
+        with pytest.raises(DomainError):
+            formula_value(6, 4, t=2)
 
     @pytest.mark.parametrize("m,t,n", [(2, 2, 5), (4, 1, 5), (4, 5, 5), (4, 4, 0)])
     def test_invalid(self, m, t, n):
