@@ -21,8 +21,11 @@ would complete a t-colored solution.  Colored summands keep their colors, so
 a closed position stays closed along the path.  A branch with `used` colors is
 abandoned when fewer than r - used positions ahead are still open.  Solutions
 are indexed by their largest summand, so coloring x closes totals in one pass
-over the solutions that x completes; closings are undone on backtrack.  Both
-rules apply only with eager_prune=True.
+over the solutions that x completes; closings are undone on backtrack.  At
+m = t = 3 a new color at p closes p+1..2p-1 (a + p with a < p shows two
+colors), so new colors must at least double in position: the branch is also
+abandoned when the greedy chain of such open positions is shorter than
+r - used.  All of this needs eager_prune=True.
 
 One kernel, a depth-bounded DFS, does all the scanning.  Run to depth n it
 visits colorings in lexicographic order of their growth strings and reports
@@ -128,6 +131,18 @@ def _closers_by_largest(
     return closers
 
 
+def _new_color_jumps(closers: list[list[tuple[tuple[int, ...], int]]], t: int) -> list[int]:
+    """jumps[p]: the first position past p that a new color at p can leave
+    open.  At t = 3 a new color at p closes every total in closers[p]; at
+    m = 3 those are p+1..2p-1, so the jump is 2p.  Elsewhere it is p + 1."""
+    jumps = [p + 1 for p in range(len(closers))]
+    for p, entries in enumerate(closers):
+        totals = {y for _, y in entries} if t == 3 else ()
+        while jumps[p] in totals:
+            jumps[p] += 1
+    return jumps
+
+
 def _is_counterexample(colors: list[int], buckets: list[list[tuple[int, ...]]], t: int) -> bool:
     for x, bucket in enumerate(buckets):
         for vals in bucket:
@@ -139,6 +154,7 @@ def _is_counterexample(colors: list[int], buckets: list[list[tuple[int, ...]]], 
 def _search(
     buckets: list[list[tuple[int, ...]]],
     closers: list[list[tuple[tuple[int, ...], int]]],
+    jumps: list[int],
     t: int,
     n: int,
     r: int,
@@ -170,6 +186,7 @@ def _search(
     survivors: list[tuple[int, ...]] = []
     nodes = 0
     leaves = 0
+    doubling = eager_prune and any(j > p + 1 for p, j in enumerate(jumps))
 
     def close(x: int) -> int:
         """Close the totals that the coloring of x completes; returns how many."""
@@ -188,9 +205,18 @@ def _search(
     def dfs(x: int, used: int, free: int) -> bool:
         """free counts the open positions in [x, n]."""
         nonlocal nodes, leaves
-        # each missing color first appears at its own open position
+        # each missing color first appears at its own open position, the one
+        # after p at jumps[p] or later; jumps grow, so greedy is longest
         if eager_prune and free < r - used:
             return False
+        if doubling:
+            p = x
+            for _ in range(r - used):
+                while p <= n and closed[p]:
+                    p += 1
+                if p > n:
+                    return False
+                p = jumps[p]
         allowed = -1  # bit c: color c at x completes no t-colored solution
         if eager_prune:
             for vals in buckets[x]:
@@ -260,6 +286,7 @@ def _pool(threads: int):
 def _scan(
     buckets: list[list[tuple[int, ...]]],
     closers: list[list[tuple[tuple[int, ...], int]]],
+    jumps: list[int],
     t: int,
     n: int,
     r: int,
@@ -281,16 +308,14 @@ def _scan(
     """
     left = budget.max_nodes - spent
     nodes = 0  # of the split and of the subtrees read so far
+    kernel = (buckets, closers, jumps, t, n, r)
     try:
         if budget.threads == 1 or n == 1:
-            return _search(buckets, closers, t, n, r, (), n, left, deadline, eager_prune)
-        prefixes, nodes, leaves = _search(
-            buckets, closers, t, n, r, (), min(SPLIT_DEPTH, n - 1), left, deadline, eager_prune
-        )
+            return _search(*kernel, (), n, left, deadline, eager_prune)
+        split = min(SPLIT_DEPTH, n - 1)
+        prefixes, nodes, leaves = _search(*kernel, (), split, left, deadline, eager_prune)
         futures = [
-            pool.submit(
-                _search, buckets, closers, t, n, r, prefix, n, left - nodes, deadline, eager_prune
-            )
+            pool.submit(_search, *kernel, prefix, n, left - nodes, deadline, eager_prune)
             for prefix in prefixes
         ]
         try:
@@ -343,9 +368,10 @@ def all_colorings_good(
     # and every complete coloring is a counterexample: the index is not needed
     buckets = _value_set_buckets(m, t, n) if r >= t else [[]] * (n + 1)
     closers = _closers_by_largest(buckets)
+    jumps = _new_color_jumps(closers, t)
     with _pool(budget.threads) as pool:
         found, nodes, leaves = _scan(
-            buckets, closers, t, n, r, budget, 0, deadline, eager_prune, pool
+            buckets, closers, jumps, t, n, r, budget, 0, deadline, eager_prune, pool
         )
     elapsed = time.monotonic() - start
     if not found:
@@ -392,12 +418,13 @@ def search_rs(
     deadline = start + budget.time_limit if budget.time_limit is not None else None
     buckets = _value_set_buckets(m, t, n)
     closers = _closers_by_largest(buckets)
+    jumps = _new_color_jumps(closers, t)
     total_nodes = 0
     previous = Coloring(n=n, colors=(1,) * n, r=1)
     with _pool(budget.threads) as pool:
         for r in range(2, n + 1):
             found, nodes, _ = _scan(
-                buckets, closers, t, n, r, budget, total_nodes, deadline, True, pool
+                buckets, closers, jumps, t, n, r, budget, total_nodes, deadline, True, pool
             )
             total_nodes += nodes
             if not found:

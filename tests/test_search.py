@@ -5,12 +5,18 @@ import os
 import subprocess
 import sys
 from functools import partial
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
 import rschur.search as search_module
-from brute_oracle import brute_least_counterexample, stirling2
+from brute_oracle import (
+    brute_has_t_colored,
+    brute_least_counterexample,
+    canonical_tuple,
+    stirling2,
+)
 from rschur import (
     BudgetExceeded,
     DomainError,
@@ -69,10 +75,15 @@ def inline_pool(monkeypatch):
 
 class TestVerdicts:
     def test_rainbow_forced_at_four_colors(self):
+        # new colors must at least double in position: 1, 2, 4 leave no room
+        # for a fourth color on [1, 4], so the root already prunes
         v = all_colorings_good(3, 3, 4, 4)
         assert v.outcome is Outcome.ALL_GOOD
         assert v.witness is None
-        assert v.nodes_explored > 0
+        assert v.nodes_explored == 0
+        lazy = all_colorings_good(3, 3, 4, 4, eager_prune=False)
+        assert lazy.outcome is Outcome.ALL_GOOD
+        assert lazy.nodes_explored > 0
 
     def test_counterexample_at_three_colors(self):
         v = all_colorings_good(3, 3, 4, 3)
@@ -191,7 +202,7 @@ class TestEngineModes:
         assert result.value == search_rs(4, 4, 10).value
         assert len(inline_pool) == 1
         # the pool served the subtrees of several r
-        assert len({args[4] for args in inline_pool[0].tasks}) > 1
+        assert len({args[5] for args in inline_pool[0].tasks}) > 1
 
     def test_buckets_built_once_per_call(self, inline_pool, monkeypatch):
         calls = []
@@ -238,8 +249,9 @@ class TestEngineModes:
             assert calls == []
             buckets = build(m, t, n)
             closers = search_module._closers_by_largest(buckets)
+            jumps = search_module._new_color_jumps(closers, t)
             found, nodes, leaves = search_module._scan(
-                buckets, closers, t, n, r, SearchBudget(), 0, None, eager_prune, None
+                buckets, closers, jumps, t, n, r, SearchBudget(), 0, None, eager_prune, None
             )
             assert v.outcome is Outcome.COUNTEREXAMPLE
             assert (v.witness.colors, v.nodes_explored, v.leaves) == (found[0], nodes, leaves)
@@ -259,8 +271,9 @@ class TestEngineModes:
 
 class TestBudgets:
     def test_node_budget_raises_with_frontier(self):
+        # RS_4(8) = 7: the scan at r = 7 takes 14 nodes
         with pytest.raises(BudgetExceeded) as info:
-            all_colorings_good(3, 3, 6, 4, SearchBudget(max_nodes=5))
+            all_colorings_good(4, 4, 8, 7, SearchBudget(max_nodes=5))
         exc = info.value
         assert exc.nodes > 5
         assert isinstance(exc.frontier, tuple) and exc.frontier
@@ -273,31 +286,31 @@ class TestBudgets:
             )
 
     def test_parallel_time_limit_bounds_the_whole_call(self):
-        # every subtree alone takes at most 12,461 nodes, a few hundredths
-        # of a second; together they take 1,532,948, several seconds
+        # every subtree alone takes at most 1,025 nodes, a few hundredths
+        # of a second; together they take 140,813, seconds at one thread
         budget = SearchBudget(time_limit=0.5, threads=2)
         with pytest.raises(BudgetExceeded):
-            all_colorings_good(3, 3, 40, 7, budget)
+            all_colorings_good(4, 4, 34, 20, budget)
 
     def test_search_rs_budget_covers_every_r(self):
-        # r = 2..6 take 22, 42, 700, 5112 and 4796 nodes: each fits in 6000
-        # alone, but together they do not
+        # r = 2..14 take 24 nodes each and r = 15 takes 5,022: each fits in
+        # 5,100 alone, but together they do not
         with pytest.raises(BudgetExceeded) as info:
-            search_rs(3, 3, 22, SearchBudget(max_nodes=6000))
-        assert info.value.nodes == 6001
+            search_rs(4, 4, 24, SearchBudget(max_nodes=5100))
+        assert info.value.nodes == 5101
         # r = 2 takes exactly 7 nodes, so the budget runs out at the end of
         # an r; the first node of r = 3 is the one past the budget
         with pytest.raises(BudgetExceeded) as info:
-            search_rs(3, 3, 7, SearchBudget(max_nodes=7))
+            search_rs(4, 4, 7, SearchBudget(max_nodes=7))
         assert info.value.nodes == 8
         assert info.value.frontier
 
     def test_parallel_node_budget_covers_the_whole_call(self):
-        # the largest subtree takes 848 nodes, well inside the budget; the
-        # split and all 149 subtrees together take 98,869
+        # the largest subtree takes 29 nodes, well inside the budget; the
+        # split (1,291 nodes) and all 432 subtrees together take 5,022
         with pytest.raises(BudgetExceeded) as info:
-            all_colorings_good(3, 3, 32, 7, SearchBudget(max_nodes=50_000, threads=2))
-        assert info.value.nodes > 50_000
+            all_colorings_good(4, 4, 24, 15, SearchBudget(max_nodes=3000, threads=2))
+        assert info.value.nodes > 3000
 
     def test_parallel_budget_propagates(self):
         # the split to depth 8 takes 5,264 nodes and the first subtree 4, so
@@ -326,10 +339,10 @@ class TestBudgets:
         assert str(clone) == str(exc)
 
 
-# (m, t, n, value, nodes under the admissible-color masks alone, nodes with
-# the capacity rule as well, one-thread witness)
+# (m, t, n, value, nodes under the admissible-color masks alone, nodes of the
+# full kernel, one-thread witness)
 _PINNED = [
-    (3, 3, 18, 6, 109_163, 2_892, (1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1, 5, 1, 2)),
+    (3, 3, 18, 6, 109_163, 96, (1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1, 5, 1, 2)),
     (4, 4, 18, 12, 70_899, 849, (1,) * 8 + tuple(range(2, 12))),
     (5, 5, 19, 16, 28_746, 595, (1,) * 5 + tuple(range(2, 16))),
     (4, 3, 16, 4, 33_174, 181, (1,) * 14 + (2, 3)),
@@ -370,7 +383,8 @@ class TestNodeCounts:
         "m,t,n,value,nodes,witness", [(m, t, n, v, cap, w) for m, t, n, v, _, cap, w in _PINNED]
     )
     def test_search_rs_capacity(self, inline_pool, m, t, n, value, nodes, witness):
-        # the full kernel: same values and witnesses, fewer nodes
+        # the full kernel, with the capacity rule and at m = t = 3 the
+        # doubling rule: same values and witnesses, fewer nodes
         self._check(m, t, n, value, nodes, witness)
         assert inline_pool
 
@@ -382,22 +396,61 @@ class TestNodeCounts:
             (
                 28,
                 6,
-                53_885,
+                133,
                 [1 if x % 3 else (x // 3 & -(x // 3)).bit_length() + 1 for x in range(1, 29)],
             ),
             # 1 + the 2-adic valuation of x
-            (32, 7, 236_193, [(x & -x).bit_length() for x in range(1, 33)]),
+            (32, 7, 202, [(x & -x).bit_length() for x in range(1, 33)]),
+            (64, 8, 483, [(x & -x).bit_length() for x in range(1, 65)]),
+            (128, 9, 1_115, [(x & -x).bit_length() for x in range(1, 129)]),
         ],
     )
     def test_rainbow_frontier(self, n, value, nodes, witness):
-        # instances the scan reaches only with the capacity rule; the budget
+        # instances the scan reaches only with the doubling rule; the budget
         # makes a weaker rule fail fast instead of running for minutes
-        result = search_rs(3, 3, n, SearchBudget(max_nodes=10**6))
+        result = search_rs(3, 3, n, SearchBudget(max_nodes=10_000))
         assert (result.value, result.nodes) == (value, nodes)
         assert result.witness.colors == tuple(witness)
         assert result.witness.r == value - 1
         found, _ = has_t_colored_solution(result.witness, 3, 3)
         assert not found
+
+
+def _first_occurrences(labels):
+    """The position of each color's first occurrence, in increasing order."""
+    firsts = {}
+    for x, label in enumerate(labels, 1):
+        firsts.setdefault(label, x)
+    return sorted(firsts.values())
+
+
+class TestDoublingLemma:
+    """The lemma behind the kernel's doubling rule, checked with the brute
+    oracle alone: in a coloring of [1, n] with no rainbow x + y = z, first
+    occurrences p < q of two colors have q >= 2p.  Otherwise q - p < p holds
+    a color older than both, and (q - p) + p = q is rainbow."""
+
+    def test_rainbow_free_colorings_double(self):
+        checked = 0
+        # every coloring up to renaming for n <= 6, and those with at most
+        # four colors for n = 7, 8
+        for n, labels in [(n, n) for n in range(1, 7)] + [(7, 4), (8, 4)]:
+            for coloring in product(range(1, labels + 1), repeat=n):
+                if coloring != canonical_tuple(coloring) or brute_has_t_colored(coloring, 3, 3):
+                    continue
+                firsts = _first_occurrences(coloring)
+                assert all(q >= 2 * p for p, q in combinations(firsts, 2)), coloring
+                checked += 1
+        assert checked == 294
+
+    @pytest.mark.parametrize("n", [4, 7, 8, 20, 32])
+    def test_two_adic_coloring_meets_the_bound(self, n):
+        # colors first appear at 1, 2, 4, ...: each exactly twice the last
+        coloring = tuple((x & -x).bit_length() for x in range(1, n + 1))
+        assert not brute_has_t_colored(coloring, 3, 3)
+        firsts = _first_occurrences(coloring)
+        assert firsts == [2**k for k in range(n.bit_length())]
+        assert all(q == 2 * p for p, q in zip(firsts, firsts[1:]))
 
 
 class TestSearchRs:
@@ -422,6 +475,11 @@ class TestSearchRs:
         for n in range(3, 13):
             assert search_rs(3, 3, n).value == rs3_formula(n)
         assert search_rs(4, 4, 7).value == rs_formula(4, 7)
+
+    def test_rainbow_log_law_to_256(self):
+        # every n up to 64, and both sides of the jumps at 128 and 256
+        for n in [*range(3, 65), 127, 128, 255, 256]:
+            assert search_rs(3, 3, n, SearchBudget(max_nodes=10_000)).value == rs3_formula(n), n
 
     def test_unattainable_instances(self):
         assert search_rs(4, 4, 5).value is None
