@@ -283,7 +283,10 @@ def _build_parser() -> _Parser:
         "--time-limit", type=float, default=None, help="wall clock limit in seconds"
     )
     budget_flags.add_argument(
-        "--threads", type=int, default=1, help="worker processes for subtree search"
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted and changes nothing: the search runs in one process",
     )
 
     instance_flags = argparse.ArgumentParser(add_help=False)

@@ -27,28 +27,21 @@ colors), so new colors must at least double in position: the branch is also
 abandoned when the greedy chain of such open positions is shorter than
 r - used.  All of this needs eager_prune=True.
 
-One kernel, a depth-bounded DFS, does all the scanning.  Run to depth n it
-visits colorings in lexicographic order of their growth strings and reports
-the lexicographically least counterexample.  With threads > 1 it first runs
-to a split depth, and the surviving prefixes become subtrees scanned to depth
-n in worker processes, at most one per CPU.  Their results are read in prefix
-order, so the witness does not depend on the thread count.
+One kernel, a DFS in one process, does all the scanning.  It visits
+colorings in lexicographic order of their growth strings and reports the
+lexicographically least counterexample.
 
-Each public call builds the per-total solution index, its deadline and, at
-threads > 1, one process pool once; the index and the deadline go to the
-kernel and its workers.  The time limit is one absolute deadline on the
-time.monotonic() clock, which is system-wide and so shared by the worker
-processes.  The node budget counts the split and every subtree in prefix
-order.  Both bound the whole call at any thread count.  Budget exhaustion
+Each public call builds the per-total solution index and its deadline once
+and hands both to the kernel for every r it scans.  The time limit is one
+absolute deadline on the time.monotonic() clock, and the node budget counts
+the nodes of every r, so both bound the whole call.  Budget exhaustion
 always raises BudgetExceeded; a partial scan is never reported as a verdict.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .colorings import Coloring
@@ -57,8 +50,6 @@ from .errors import BudgetExceeded, DomainError
 from .formulas import ComputedNumber, Method, ProblemParams, min_n_weak
 
 DEFAULT_MAX_NODES = 10**8
-# prefix length at which work is divided among worker processes
-SPLIT_DEPTH = 8
 
 
 class Outcome(enum.Enum):
@@ -87,10 +78,8 @@ class SearchBudget:
     """Resource limits for a search run.
 
     max_nodes caps color-assignment steps over the whole call; time_limit
-    is wall-clock seconds for the whole call, unlimited when None.  Both
-    include the work of worker processes.  threads > 1 scans subtrees in
-    that many worker processes, at most one per CPU.  The verdict and the
-    witness do not depend on threads.
+    is wall-clock seconds for the whole call, unlimited when None.  threads
+    is accepted and changes nothing: the search runs in one process.
     """
 
     max_nodes: int = DEFAULT_MAX_NODES
@@ -100,7 +89,7 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_nodes < 1:
             raise DomainError(f"max_nodes must be positive, got {self.max_nodes}")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:
             raise DomainError(f"time_limit must be positive, got {self.time_limit}")
         if self.threads < 1:
             raise DomainError(f"threads must be at least 1, got {self.threads}")
@@ -158,32 +147,31 @@ def _search(
     t: int,
     n: int,
     r: int,
-    prefix: tuple[int, ...],
-    depth: int,
-    max_nodes: int,
+    budget: SearchBudget,
+    spent: int,
     deadline: float | None,
     eager_prune: bool,
 ):
-    """Depth-first scan of the canonical colorings extending `prefix`, in
-    lexicographic order, down to position `depth` > len(prefix).
+    """Depth-first scan of every exact r-coloring of [1, n], in lexicographic
+    order of growth strings, after `spent` nodes of the budget went to
+    earlier scans of the same call.
 
-    Returns (survivors, nodes, leaves).  Below depth n the survivors are all
-    growth-string prefixes of length `depth` that pruning could not rule
-    out.  At depth n the scan stops at the first counterexample, so the
-    survivors are empty or hold the lexicographically least one.  With
-    eager_prune=False solutions are only checked at complete colorings, so
-    every exact-r completion of the prefix is visited; that mode exists to
-    make the leaf count externally checkable against partition counts.
-    Raises BudgetExceeded past max_nodes nodes or the absolute `deadline`
-    on the time.monotonic() clock.
+    Returns (witness, nodes, leaves).  The scan stops at the first
+    counterexample, so witness is the lexicographically least one, or None
+    when there is none.  With eager_prune=False solutions are only checked
+    at complete colorings, so every exact-r coloring is visited; that mode
+    exists to make the leaf count externally checkable against partition
+    counts.  Raises BudgetExceeded, with the nodes counted over the whole
+    call, past the budget's max_nodes or the absolute `deadline` on the
+    time.monotonic() clock.
     """
-    colors = [0, *prefix] + [0] * (n - len(prefix))
+    colors = [0] * (n + 1)
     bits = [1 << c for c in colors]
     # closed[y]: some solution with total y has colored summands showing
     # t - 1 colors, so a color first used at y would complete t of them
     closed = [False] * (n + 1)
     trail: list[int] = []  # closings along the current path, for undo
-    survivors: list[tuple[int, ...]] = []
+    left = budget.max_nodes - spent
     nodes = 0
     leaves = 0
     doubling = eager_prune and any(j > p + 1 for p, j in enumerate(jumps))
@@ -202,20 +190,20 @@ def _search(
                     closings += 1
         return closings
 
-    def dfs(x: int, used: int, free: int) -> bool:
+    def dfs(x: int, used: int, free: int) -> tuple[int, ...] | None:
         """free counts the open positions in [x, n]."""
         nonlocal nodes, leaves
         # each missing color first appears at its own open position, the one
         # after p at jumps[p] or later; jumps grow, so greedy is longest
         if eager_prune and free < r - used:
-            return False
+            return None
         if doubling:
             p = x
             for _ in range(r - used):
                 while p <= n and closed[p]:
                     p += 1
                 if p > n:
-                    return False
+                    return None
                 p = jumps[p]
         allowed = -1  # bit c: color c at x completes no t-colored solution
         if eager_prune:
@@ -236,109 +224,36 @@ def _search(
         free_after = free - (not closed[x])
         for c in range(lo, cap + 1):
             nodes += 1
-            # the clock is read on the first node too, so a subtree started
+            # the clock is read on the first node too, so a scan started
             # after the deadline stops at once
-            if nodes > max_nodes or (
+            if nodes > left or (
                 deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline
             ):
+                if nodes > left:
+                    message = f"node budget of {budget.max_nodes} exhausted"
+                else:
+                    message = "time limit exhausted"
                 raise BudgetExceeded(
-                    "search budget exhausted",
-                    nodes=nodes,
-                    frontier=tuple(colors[1:x]) + (c,),
+                    message, nodes=spent + nodes, frontier=tuple(colors[1:x]) + (c,)
                 )
             if not allowed >> c & 1:
                 continue
             colors[x] = c
             bits[x] = 1 << c
-            if x < depth:
+            if x < n:
                 closings = close(x) if eager_prune else 0
                 found = dfs(x + 1, used if c <= used else c, free_after - closings)
                 for _ in range(closings):
                     closed[trail.pop()] = False
                 if found:
-                    return True
-            elif x < n:
-                survivors.append(tuple(colors[1 : x + 1]))
+                    return found
             else:
                 leaves += 1
                 if eager_prune or _is_counterexample(colors, buckets, t):
-                    survivors.append(tuple(colors[1:]))
-                    return True
-        return False
+                    return tuple(colors[1:])
+        return None
 
-    start = len(prefix) + 1
-    for x in range(1, start):
-        close(x)
-    dfs(start, max(prefix, default=0), closed[start:].count(False))
-    return survivors, nodes, leaves
-
-
-def _pool(threads: int):
-    """The call's pool of at most one worker per CPU, started by its first task."""
-    if threads == 1:
-        return nullcontext()
-    # imported late: multiprocessing is most of the package's import time
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1))
-
-
-def _scan(
-    buckets: list[list[tuple[int, ...]]],
-    closers: list[list[tuple[tuple[int, ...], int]]],
-    jumps: list[int],
-    t: int,
-    n: int,
-    r: int,
-    budget: SearchBudget,
-    spent: int,
-    deadline: float | None,
-    eager_prune: bool,
-    pool,
-):
-    """Scan every exact r-coloring of [1, n] as _search does to depth n,
-    after `spent` nodes of the budget went to earlier scans of the same call.
-
-    With threads > 1 the tree is split at SPLIT_DEPTH and the subtrees are
-    scanned on `pool`, which serves every scan of the call.  Their results
-    are read in prefix order, so the first witness is the lexicographically
-    least one, as in the one-process scan, and the node budget counts the
-    split and then each subtree in that order.  BudgetExceeded carries the
-    nodes counted over the whole call.
-    """
-    left = budget.max_nodes - spent
-    nodes = 0  # of the split and of the subtrees read so far
-    kernel = (buckets, closers, jumps, t, n, r)
-    try:
-        if budget.threads == 1 or n == 1:
-            return _search(*kernel, (), n, left, deadline, eager_prune)
-        split = min(SPLIT_DEPTH, n - 1)
-        prefixes, nodes, leaves = _search(*kernel, (), split, left, deadline, eager_prune)
-        futures = [
-            pool.submit(_search, *kernel, prefix, n, left - nodes, deadline, eager_prune)
-            for prefix in prefixes
-        ]
-        try:
-            for prefix, fut in zip(prefixes, futures):
-                found, sub_nodes, sub_leaves = fut.result()
-                nodes += sub_nodes
-                leaves += sub_leaves
-                if nodes > left:
-                    raise BudgetExceeded("search budget exhausted", frontier=prefix)
-                if found:
-                    return found, nodes, leaves
-        finally:
-            # the pool serves later scans: drop the subtrees not yet started
-            for fut in futures:
-                fut.cancel()
-        return [], nodes, leaves
-    except BudgetExceeded as exc:
-        nodes += spent + exc.nodes
-        if nodes > budget.max_nodes:
-            message = f"node budget of {budget.max_nodes} exhausted"
-        else:
-            message = "time limit exhausted"
-        raise BudgetExceeded(message, nodes=nodes, frontier=exc.frontier) from None
+    return dfs(1, 0, n), nodes, leaves
 
 
 def all_colorings_good(
@@ -369,16 +284,15 @@ def all_colorings_good(
     buckets = _value_set_buckets(m, t, n) if r >= t else [[]] * (n + 1)
     closers = _closers_by_largest(buckets)
     jumps = _new_color_jumps(closers, t)
-    with _pool(budget.threads) as pool:
-        found, nodes, leaves = _scan(
-            buckets, closers, jumps, t, n, r, budget, 0, deadline, eager_prune, pool
-        )
+    found, nodes, leaves = _search(
+        buckets, closers, jumps, t, n, r, budget, 0, deadline, eager_prune
+    )
     elapsed = time.monotonic() - start
-    if not found:
+    if found is None:
         return Verdict(Outcome.ALL_GOOD, None, nodes, elapsed, leaves)
     return Verdict(
         Outcome.COUNTEREXAMPLE,
-        Coloring(n=n, colors=found[0], r=r),
+        Coloring(n=n, colors=found, r=r),
         nodes,
         elapsed,
         leaves,
@@ -421,23 +335,22 @@ def search_rs(
     jumps = _new_color_jumps(closers, t)
     total_nodes = 0
     previous = Coloring(n=n, colors=(1,) * n, r=1)
-    with _pool(budget.threads) as pool:
-        for r in range(2, n + 1):
-            found, nodes, _ = _scan(
-                buckets, closers, jumps, t, n, r, budget, total_nodes, deadline, True, pool
+    for r in range(2, n + 1):
+        found, nodes, _ = _search(
+            buckets, closers, jumps, t, n, r, budget, total_nodes, deadline, True
+        )
+        total_nodes += nodes
+        if found is None:
+            return ComputedNumber(
+                r,
+                Method.SEARCH,
+                previous,
+                nodes=total_nodes,
+                elapsed=time.monotonic() - start,
             )
-            total_nodes += nodes
-            if not found:
-                return ComputedNumber(
-                    r,
-                    Method.SEARCH,
-                    previous,
-                    nodes=total_nodes,
-                    elapsed=time.monotonic() - start,
-                )
-            previous = Coloring(n=n, colors=found[0], r=r)
-            if witness_sink is not None:
-                witness_sink.append((r, previous))
+        previous = Coloring(n=n, colors=found, r=r)
+        if witness_sink is not None:
+            witness_sink.append((r, previous))
     raise AssertionError(
         "unreachable: the all-singleton coloring contains a t-colored solution"
     )

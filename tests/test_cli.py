@@ -104,6 +104,14 @@ class TestSearch:
         assert code == 3
         assert "nodes explored" in err
 
+    @pytest.mark.parametrize("limit", ["0", "nan"])
+    def test_time_limit_must_be_positive(self, capsys, limit):
+        code, _, err = run(
+            capsys, "search", "--m", "3", "--n", "20", "--time-limit", limit
+        )
+        assert code == 2
+        assert "time_limit must be positive" in err
+
     def test_node_budget_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("RSCHUR_MAX_NODES", "5")
         assert run(capsys, "search", "--m", "3", "--n", "12")[0] == 3

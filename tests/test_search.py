@@ -1,10 +1,8 @@
 """Exhaustive-search oracle: verdicts, witnesses, budgets, and engine modes."""
 
-import concurrent.futures
 import os
 import subprocess
 import sys
-from functools import partial
 from itertools import combinations, product
 from pathlib import Path
 
@@ -31,46 +29,6 @@ from rschur import (
     rs_formula,
     search_rs,
 )
-
-
-@pytest.fixture
-def inline_pool(monkeypatch):
-    """Replace the process pool by one that runs each task in this process
-    when its result is read, so a cancelled task never runs; returns the
-    list of pools created."""
-    pools = []
-
-    class InlineTask:
-        def __init__(self, fn, args):
-            self.call = partial(fn, *args)
-
-        def result(self):
-            return self.call()
-
-        def cancel(self):
-            self.call = None
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.tasks = []
-            pools.append(self)
-
-        def submit(self, fn, *args):
-            self.tasks.append(args)
-            return InlineTask(fn, args)
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            self.shutdown()
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return pools
 
 
 class TestVerdicts:
@@ -173,38 +131,7 @@ class TestEngineModes:
         assert lazy.witness == eager.witness
         assert eager.nodes_explored <= lazy.nodes_explored
 
-    def test_parallel_same_outcome(self):
-        budget = SearchBudget(threads=2)
-        for m, t, n, r in [(3, 3, 9, 4), (3, 3, 9, 5), (4, 4, 8, 6)]:
-            seq = all_colorings_good(m, t, n, r)
-            par = all_colorings_good(m, t, n, r, budget)
-            assert par.outcome is seq.outcome, (m, t, n, r)
-            assert par.witness == seq.witness, (m, t, n, r)
-            if par.outcome is Outcome.COUNTEREXAMPLE:
-                found, _ = has_t_colored_solution(par.witness, m, t)
-                assert not found
-
-    def test_parallel_leaf_count_still_exact(self):
-        budget = SearchBudget(threads=2)
-        v = all_colorings_good(3, 2, 8, 4, budget, eager_prune=False)
-        assert v.outcome is Outcome.ALL_GOOD
-        assert v.leaves == stirling2(8, 4)
-
-    @pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1)])
-    def test_workers_capped_at_cpu_count(self, inline_pool, monkeypatch, cpus, workers):
-        monkeypatch.setattr(search_module.os, "cpu_count", lambda: cpus)
-        v = all_colorings_good(3, 3, 9, 5, SearchBudget(threads=64))
-        assert v.outcome is Outcome.ALL_GOOD
-        assert [pool.max_workers for pool in inline_pool] == [workers]
-
-    def test_one_pool_per_call(self, inline_pool):
-        result = search_rs(4, 4, 10, SearchBudget(threads=2))
-        assert result.value == search_rs(4, 4, 10).value
-        assert len(inline_pool) == 1
-        # the pool served the subtrees of several r
-        assert len({args[5] for args in inline_pool[0].tasks}) > 1
-
-    def test_buckets_built_once_per_call(self, inline_pool, monkeypatch):
+    def test_buckets_built_once_per_call(self, monkeypatch):
         calls = []
         build = search_module._value_set_buckets
         index = search_module._closers_by_largest
@@ -227,10 +154,6 @@ class TestEngineModes:
         calls.clear()
         all_colorings_good(3, 3, 9, 4, SearchBudget(threads=2))
         assert calls == [(3, 3, 9), "closers"]
-        assert len(inline_pool) == 2
-        # the workers got the index built by the call
-        closers = index(build(3, 3, 9))
-        assert all(args[1] == closers for args in inline_pool[1].tasks)
 
     @pytest.mark.parametrize("eager_prune", [True, False])
     def test_no_buckets_below_t_colors(self, monkeypatch, eager_prune):
@@ -250,14 +173,20 @@ class TestEngineModes:
             buckets = build(m, t, n)
             closers = search_module._closers_by_largest(buckets)
             jumps = search_module._new_color_jumps(closers, t)
-            found, nodes, leaves = search_module._scan(
-                buckets, closers, jumps, t, n, r, SearchBudget(), 0, None, eager_prune, None
+            found, nodes, leaves = search_module._search(
+                buckets, closers, jumps, t, n, r, SearchBudget(), 0, None, eager_prune
             )
             assert v.outcome is Outcome.COUNTEREXAMPLE
-            assert (v.witness.colors, v.nodes_explored, v.leaves) == (found[0], nodes, leaves)
+            assert (v.witness.colors, v.nodes_explored, v.leaves) == (found, nodes, leaves)
 
     def test_import_leaves_the_process_pool_unloaded(self):
-        code = "import sys, rschur.cli; print('multiprocessing' in sys.modules)"
+        # threads is accepted but starts no worker processes
+        code = (
+            "import sys, rschur.cli; print('multiprocessing' in sys.modules); "
+            "from rschur import SearchBudget, search_rs; "
+            "search_rs(4, 4, 10, SearchBudget(threads=2)); "
+            "print('multiprocessing' in sys.modules)"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
@@ -266,7 +195,7 @@ class TestEngineModes:
             env=dict(os.environ, PYTHONPATH=str(Path(search_module.__file__).parents[1])),
             timeout=60,
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["False", "False"]
 
 
 class TestBudgets:
@@ -286,9 +215,9 @@ class TestBudgets:
             )
 
     def test_parallel_time_limit_bounds_the_whole_call(self):
-        # every subtree alone takes at most 1,025 nodes, a few hundredths
-        # of a second; together they take 140,813, seconds at one thread
-        budget = SearchBudget(time_limit=0.5, threads=2)
+        # the scan takes 140,813 nodes, seconds in one process; the limit
+        # stops it part way
+        budget = SearchBudget(time_limit=0.5)
         with pytest.raises(BudgetExceeded):
             all_colorings_good(4, 4, 34, 20, budget)
 
@@ -306,16 +235,15 @@ class TestBudgets:
         assert info.value.frontier
 
     def test_parallel_node_budget_covers_the_whole_call(self):
-        # the largest subtree takes 29 nodes, well inside the budget; the
-        # split (1,291 nodes) and all 432 subtrees together take 5,022
+        # the scan takes 5,022 nodes; the node past the budget stops it
         with pytest.raises(BudgetExceeded) as info:
-            all_colorings_good(4, 4, 24, 15, SearchBudget(max_nodes=3000, threads=2))
+            all_colorings_good(4, 4, 24, 15, SearchBudget(max_nodes=3000))
         assert info.value.nodes > 3000
 
     def test_parallel_budget_propagates(self):
-        # the split to depth 8 takes 5,264 nodes and the first subtree 4, so
-        # the budget runs out inside that subtree's worker
-        budget = SearchBudget(max_nodes=5266, threads=2)
+        # the budget runs out below depth 8, and the exception carries the
+        # node count and the full frontier out of the recursion
+        budget = SearchBudget(max_nodes=5266)
         with pytest.raises(BudgetExceeded) as info:
             all_colorings_good(3, 2, 12, 6, budget, eager_prune=False)
         assert info.value.nodes == 5267
@@ -326,6 +254,8 @@ class TestBudgets:
             SearchBudget(max_nodes=0)
         with pytest.raises(DomainError):
             SearchBudget(time_limit=0.0)
+        with pytest.raises(DomainError):
+            SearchBudget(time_limit=float("nan"))
         with pytest.raises(DomainError):
             SearchBudget(threads=0)
 
@@ -365,28 +295,25 @@ class TestNodeCounts:
     def _check(m, t, n, value, nodes, witness):
         result = search_rs(m, t, n)
         assert (result.value, result.nodes, result.witness.colors) == (value, nodes, witness)
-        # the split and the prefix-order reading decide the parallel
-        # witness; the in-process pool runs them without spawning workers
+        # threads is accepted and changes nothing
         par = search_rs(m, t, n, SearchBudget(threads=2))
-        assert (par.value, par.witness) == (value, result.witness)
+        assert (par.value, par.nodes, par.witness) == (value, nodes, result.witness)
 
     @pytest.mark.parametrize(
         "m,t,n,value,nodes,witness", [(m, t, n, v, masks, w) for m, t, n, v, masks, _, w in _PINNED]
     )
-    def test_search_rs(self, inline_pool, monkeypatch, m, t, n, value, nodes, witness):
+    def test_search_rs(self, monkeypatch, m, t, n, value, nodes, witness):
         # the admissible-color masks alone, apart from the capacity rule
         monkeypatch.setattr(search_module, "_closers_by_largest", _no_closings)
         self._check(m, t, n, value, nodes, witness)
-        assert inline_pool
 
     @pytest.mark.parametrize(
         "m,t,n,value,nodes,witness", [(m, t, n, v, cap, w) for m, t, n, v, _, cap, w in _PINNED]
     )
-    def test_search_rs_capacity(self, inline_pool, m, t, n, value, nodes, witness):
+    def test_search_rs_capacity(self, m, t, n, value, nodes, witness):
         # the full kernel, with the capacity rule and at m = t = 3 the
         # doubling rule: same values and witnesses, fewer nodes
         self._check(m, t, n, value, nodes, witness)
-        assert inline_pool
 
     @pytest.mark.parametrize(
         "n,value,nodes,witness",
