@@ -5,27 +5,26 @@ Colorings are enumerated as restricted growth strings, so each partition of
 might be labeled; this quotient is the single biggest lever against the r^n
 blowup of raw label maps.
 
-Integers are colored in increasing order.  When position x receives a color,
-every solution of E_m with total x becomes fully colored (all summands are
-smaller than the total); extending the coloring never removes colors from it,
-so a color that gives it t distinct colors is never tried.  On entering x one
-pass over those solutions ORs each one's summand bits, 1 << color, into a mask
-with k bits set, which rules out every color at k >= t and every color outside
-the mask at k = t - 1.  For t = m only solutions with pairwise distinct values
-are tracked, since repeated values share a color.
+Integers are colored in increasing order, and a solution of E_m with total y
+is complete once its largest summand x is colored; extending the coloring
+never removes colors from it.  Solutions are indexed by their largest
+summand, and coloring x folds each one it completes into allowed[y], the
+colors still admissible at y: if its summands show k colors, every color is
+ruled out at k >= t and every color outside them at k = t - 1.  The changes
+are undone on backtrack.  For t = m only solutions with pairwise distinct
+values are tracked, since repeated values share a color.
 
 An exact r-coloring must still introduce each missing color at its own
-position.  A position y is closed once some solution with total y has all its
-summands colored and they show at least t - 1 colors: a color first used at y
-would complete a t-colored solution.  Colored summands keep their colors, so
-a closed position stays closed along the path.  A branch with `used` colors is
-abandoned when fewer than r - used positions ahead are still open.  Solutions
-are indexed by their largest summand, so coloring x closes totals in one pass
-over the solutions that x completes; closings are undone on backtrack.  At
-m = t = 3 a new color at p closes p+1..2p-1 (a + p with a < p shows two
-colors), so new colors must at least double in position: the branch is also
-abandoned when the greedy chain of such open positions is shorter than
-r - used.  All of this needs eager_prune=True.
+position.  Position y is closed, allowed[y] != -1, once a complete solution
+with total y shows t - 1 colors: a color first used at y would complete t.
+A closed position stays closed along the path, and a branch with `used`
+colors is abandoned when fewer than r - used positions ahead are open.  So
+the pass after coloring x is skipped while fewer than t - 1 colors are in
+use, and it stops once it has closed more positions than the branch can
+spare.  At m = t = 3 a new color at p closes p+1..2p-1 (a + p with a < p
+shows two colors), so new colors must at least double in position: the
+branch is also abandoned when the greedy chain of such open positions is
+shorter than r - used.  All of this needs eager_prune=True.
 
 One kernel, a DFS in one process, does all the scanning.  It visits
 colorings in lexicographic order of their growth strings and reports the
@@ -87,7 +86,7 @@ class SearchBudget:
     threads: int = 1
 
     def __post_init__(self):
-        if self.max_nodes < 1:
+        if not self.max_nodes >= 1:
             raise DomainError(f"max_nodes must be positive, got {self.max_nodes}")
         if self.time_limit is not None and not self.time_limit > 0:
             raise DomainError(f"time_limit must be positive, got {self.time_limit}")
@@ -167,27 +166,37 @@ def _search(
     """
     colors = [0] * (n + 1)
     bits = [1 << c for c in colors]
-    # closed[y]: some solution with total y has colored summands showing
-    # t - 1 colors, so a color first used at y would complete t of them
-    closed = [False] * (n + 1)
-    trail: list[int] = []  # closings along the current path, for undo
+    # allowed[y]: bit c set when color c at y completes no t-colored
+    # solution; y is open while it is -1
+    allowed = [-1] * (n + 1)
+    trail: list[tuple[int, int]] = []  # (y, old allowed[y]) along the path, for undo
     left = budget.max_nodes - spent
     nodes = 0
     leaves = 0
     doubling = eager_prune and any(j > p + 1 for p, j in enumerate(jumps))
 
-    def close(x: int) -> int:
-        """Close the totals that the coloring of x completes; returns how many."""
+    def close(x: int, slack: int) -> int:
+        """Fold the solutions that the coloring of x completes into allowed;
+        returns how many positions it closed, or stops once that exceeds
+        slack, since the next dfs then prunes before reading any state."""
+        if slack < 0:
+            return 0
         closings = 0
         for others, y in closers[x]:
-            if not closed[y]:
-                mask = bits[x]
-                for v in others:
-                    mask |= bits[v]
-                if mask.bit_count() >= t - 1:
-                    closed[y] = True
-                    trail.append(y)
-                    closings += 1
+            mask = bits[x]
+            for v in others:
+                mask |= bits[v]
+            k = mask.bit_count()
+            if k >= t - 1:
+                old = allowed[y]
+                new = 0 if k >= t else old & mask
+                if new != old:
+                    allowed[y] = new
+                    trail.append((y, old))
+                    if old == -1:
+                        closings += 1
+                        if closings > slack:
+                            break
         return closings
 
     def dfs(x: int, used: int, free: int) -> tuple[int, ...] | None:
@@ -200,28 +209,17 @@ def _search(
         if doubling:
             p = x
             for _ in range(r - used):
-                while p <= n and closed[p]:
+                while p <= n and allowed[p] != -1:
                     p += 1
                 if p > n:
                     return None
                 p = jumps[p]
-        allowed = -1  # bit c: color c at x completes no t-colored solution
-        if eager_prune:
-            for vals in buckets[x]:
-                mask = 0
-                for v in vals:
-                    mask |= bits[v]
-                k = mask.bit_count()
-                if k >= t:
-                    allowed = 0
-                    break
-                if k == t - 1:
-                    allowed &= mask
         cap = used + 1 if used < r else r
         # an old color leaves `used` unchanged, so it is only viable while
         # enough positions remain to introduce the missing colors
         lo = 1 if used + (n - x) >= r else used + 1
-        free_after = free - (not closed[x])
+        here = allowed[x]
+        free_after = free - (here == -1)
         for c in range(lo, cap + 1):
             nodes += 1
             # the clock is read on the first node too, so a scan started
@@ -236,15 +234,22 @@ def _search(
                 raise BudgetExceeded(
                     message, nodes=spent + nodes, frontier=tuple(colors[1:x]) + (c,)
                 )
-            if not allowed >> c & 1:
+            if not here >> c & 1:
                 continue
             colors[x] = c
             bits[x] = 1 << c
             if x < n:
-                closings = close(x) if eager_prune else 0
-                found = dfs(x + 1, used if c <= used else c, free_after - closings)
-                for _ in range(closings):
-                    closed[trail.pop()] = False
+                now = used if c <= used else c
+                mark = len(trail)
+                closings = 0
+                # x and the summands it completes show at most `now` colors,
+                # so below t - 1 of them nothing closes
+                if eager_prune and now >= t - 1:
+                    closings = close(x, free_after - (r - now))
+                found = dfs(x + 1, now, free_after - closings)
+                while len(trail) > mark:
+                    y, old = trail.pop()
+                    allowed[y] = old
                 if found:
                     return found
             else:
