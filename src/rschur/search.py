@@ -24,7 +24,13 @@ use, and it stops once it has closed more positions than the branch can
 spare.  At m = t = 3 a new color at p closes p+1..2p-1 (a + p with a < p
 shows two colors), so new colors must at least double in position: the
 branch is also abandoned when the greedy chain of such open positions is
-shorter than r - used.  All of this needs eager_prune=True.
+shorter than r - used.  Elsewhere, for t >= 3, once colors 1..t-2 are in
+use, first at 1 < f_2 < ... < f_{t-2}, let s0 = (m - t + 1) + f_2 + ... +
+f_{t-2}.  A new color at p closes p + s0, since the solution with m - t + 1
+ones, f_2..f_{t-2} and p shows t - 1 colors; so no two positions that get
+missing colors are s0 apart.  A run of L open positions y, y + s0, ... then
+holds at most ceil(L / 2) of them, and the branch is abandoned when the runs
+hold fewer than r - used.  All of this needs eager_prune=True.
 
 One kernel, a DFS in one process, does all the scanning.  It visits
 colorings in lexicographic order of their growth strings and reports the
@@ -90,7 +96,7 @@ class SearchBudget:
             raise DomainError(f"max_nodes must be positive, got {self.max_nodes}")
         if self.time_limit is not None and not self.time_limit > 0:
             raise DomainError(f"time_limit must be positive, got {self.time_limit}")
-        if self.threads < 1:
+        if not self.threads >= 1:
             raise DomainError(f"threads must be at least 1, got {self.threads}")
 
 
@@ -143,6 +149,7 @@ def _search(
     buckets: list[list[tuple[int, ...]]],
     closers: list[list[tuple[tuple[int, ...], int]]],
     jumps: list[int],
+    m: int,
     t: int,
     n: int,
     r: int,
@@ -174,6 +181,8 @@ def _search(
     nodes = 0
     leaves = 0
     doubling = eager_prune and any(j > p + 1 for p, j in enumerate(jumps))
+    # off at m = t = 3, where the doubling walk is stronger
+    lookahead = eager_prune and t >= 3 and m > 3
 
     def close(x: int, slack: int) -> int:
         """Fold the solutions that the coloring of x completes into allowed;
@@ -199,21 +208,41 @@ def _search(
                             break
         return closings
 
-    def dfs(x: int, used: int, free: int) -> tuple[int, ...] | None:
-        """free counts the open positions in [x, n]."""
+    def dfs(x: int, used: int, free: int, s0: int) -> tuple[int, ...] | None:
+        """free counts the open positions in [x, n]; s0 is m - t plus the
+        first positions of colors 1..min(used, t - 2)."""
         nonlocal nodes, leaves
+        need = r - used
         # each missing color first appears at its own open position, the one
         # after p at jumps[p] or later; jumps grow, so greedy is longest
-        if eager_prune and free < r - used:
+        if eager_prune and free < need:
             return None
         if doubling:
             p = x
-            for _ in range(r - used):
+            for _ in range(need):
                 while p <= n and allowed[p] != -1:
                     p += 1
                 if p > n:
                     return None
                 p = jumps[p]
+        # once colors 1..t-2 are in use, missing colors at p and p + s0 would
+        # show t colors with m - t + 1 ones and f_2..f_{t-2}: a run of L open
+        # positions y, y + s0, ... holds at most ceil(L / 2) of them.  Each
+        # run gives at least L / 2, and every run is 1 long at s0 > n - x, so
+        # neither case can prune
+        if lookahead and used >= t - 2 and free < 2 * need and s0 <= n - x:
+            room = 0
+            for start in range(x, x + s0):
+                run = 0
+                for a in allowed[start::s0]:
+                    if a == -1:
+                        run += 1
+                    else:
+                        room += run + 1 >> 1
+                        run = 0
+                room += run + 1 >> 1
+            if room < need:
+                return None
         cap = used + 1 if used < r else r
         # an old color leaves `used` unchanged, so it is only viable while
         # enough positions remain to introduce the missing colors
@@ -246,7 +275,8 @@ def _search(
                 # so below t - 1 of them nothing closes
                 if eager_prune and now >= t - 1:
                     closings = close(x, free_after - (r - now))
-                found = dfs(x + 1, now, free_after - closings)
+                first = used < c <= t - 2
+                found = dfs(x + 1, now, free_after - closings, s0 + x if first else s0)
                 while len(trail) > mark:
                     y, old = trail.pop()
                     allowed[y] = old
@@ -258,7 +288,7 @@ def _search(
                     return tuple(colors[1:])
         return None
 
-    return dfs(1, 0, n), nodes, leaves
+    return dfs(1, 0, n, m - t), nodes, leaves
 
 
 def all_colorings_good(
@@ -290,7 +320,7 @@ def all_colorings_good(
     closers = _closers_by_largest(buckets)
     jumps = _new_color_jumps(closers, t)
     found, nodes, leaves = _search(
-        buckets, closers, jumps, t, n, r, budget, 0, deadline, eager_prune
+        buckets, closers, jumps, m, t, n, r, budget, 0, deadline, eager_prune
     )
     elapsed = time.monotonic() - start
     if found is None:
@@ -342,7 +372,7 @@ def search_rs(
     previous = Coloring(n=n, colors=(1,) * n, r=1)
     for r in range(2, n + 1):
         found, nodes, _ = _search(
-            buckets, closers, jumps, t, n, r, budget, total_nodes, deadline, True
+            buckets, closers, jumps, m, t, n, r, budget, total_nodes, deadline, True
         )
         total_nodes += nodes
         if found is None:

@@ -174,7 +174,7 @@ class TestEngineModes:
             closers = search_module._closers_by_largest(buckets)
             jumps = search_module._new_color_jumps(closers, t)
             found, nodes, leaves = search_module._search(
-                buckets, closers, jumps, t, n, r, SearchBudget(), 0, None, eager_prune
+                buckets, closers, jumps, m, t, n, r, SearchBudget(), 0, None, eager_prune
             )
             assert v.outcome is Outcome.COUNTEREXAMPLE
             assert (v.witness.colors, v.nodes_explored, v.leaves) == (found, nodes, leaves)
@@ -200,9 +200,9 @@ class TestEngineModes:
 
 class TestBudgets:
     def test_node_budget_raises_with_frontier(self):
-        # RS_4(8) = 7: the scan at r = 7 takes 14 nodes
+        # RS_5(19) = 16: the scan at r = 16 takes 56 nodes
         with pytest.raises(BudgetExceeded) as info:
-            all_colorings_good(4, 4, 8, 7, SearchBudget(max_nodes=5))
+            all_colorings_good(5, 5, 19, 16, SearchBudget(max_nodes=5))
         exc = info.value
         assert exc.nodes > 5
         assert isinstance(exc.frontier, tuple) and exc.frontier
@@ -215,18 +215,18 @@ class TestBudgets:
             )
 
     def test_time_limit_bounds_the_whole_call(self):
-        # the scan takes 1,083,610 nodes, about 2 s on two cores; the limit
+        # the scan takes 2,366,922 nodes, about 5.5 s on two cores; the limit
         # stops it part way
         budget = SearchBudget(time_limit=0.5)
         with pytest.raises(BudgetExceeded):
-            all_colorings_good(4, 4, 40, 23, budget)
+            all_colorings_good(6, 6, 60, 49, budget)
 
     def test_search_rs_budget_covers_every_r(self):
-        # r = 2..14 take 24 nodes each and r = 15 takes 5,022: each fits in
-        # 5,100 alone, but together they do not
+        # r = 2..27 take 36 nodes each and r = 28 takes 2,035: each fits in
+        # 2,500 alone, but together they do not
         with pytest.raises(BudgetExceeded) as info:
-            search_rs(4, 4, 24, SearchBudget(max_nodes=5100))
-        assert info.value.nodes == 5101
+            search_rs(5, 5, 36, SearchBudget(max_nodes=2500))
+        assert info.value.nodes == 2501
         # r = 2 takes exactly 7 nodes, so the budget runs out at the end of
         # an r; the first node of r = 3 is the one past the budget
         with pytest.raises(BudgetExceeded) as info:
@@ -235,9 +235,9 @@ class TestBudgets:
         assert info.value.frontier
 
     def test_node_budget_covers_the_whole_call(self):
-        # the scan takes 5,022 nodes; the node past the budget stops it
+        # the scan takes 8,177 nodes; the node past the budget stops it
         with pytest.raises(BudgetExceeded) as info:
-            all_colorings_good(4, 4, 24, 15, SearchBudget(max_nodes=3000))
+            all_colorings_good(5, 5, 40, 30, SearchBudget(max_nodes=3000))
         assert info.value.nodes > 3000
 
     def test_budget_propagates(self):
@@ -261,6 +261,8 @@ class TestBudgets:
             SearchBudget(time_limit=float("nan"))
         with pytest.raises(DomainError):
             SearchBudget(threads=0)
+        with pytest.raises(DomainError):
+            SearchBudget(threads=float("nan"))
 
     def test_exception_survives_pickling(self):
         import pickle
@@ -275,21 +277,27 @@ class TestBudgets:
 # (m, t, n, value, nodes, one-thread witness)
 _PINNED = [
     (3, 3, 18, 6, 96, (1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1, 5, 1, 2)),
-    (4, 4, 18, 12, 849, (1,) * 8 + tuple(range(2, 12))),
-    (5, 5, 19, 16, 595, (1,) * 5 + tuple(range(2, 16))),
-    (4, 3, 16, 4, 181, (1,) * 14 + (2, 3)),
-    (5, 4, 15, 11, 258, (1,) * 6 + tuple(range(2, 11))),
-    # the m >= 4 frontier
-    (4, 4, 28, 17, 19_302, (1,) * 13 + tuple(range(2, 17))),
-    (4, 4, 34, 20, 141_425, (1,) * 16 + tuple(range(2, 20))),
+    (4, 4, 18, 12, 194, (1,) * 8 + tuple(range(2, 12))),
+    (5, 5, 19, 16, 322, (1,) * 5 + tuple(range(2, 16))),
+    (4, 3, 16, 4, 178, (1,) * 14 + (2, 3)),
+    (5, 4, 15, 11, 145, (1,) * 6 + tuple(range(2, 11))),
+    (4, 4, 28, 17, 444, (1,) * 13 + tuple(range(2, 17))),
+    (4, 4, 34, 20, 642, (1,) * 16 + tuple(range(2, 20))),
+]
+
+# the m >= 4 frontier, which the scan reaches only with the look-ahead rule
+_FRONTIER = [
+    (4, 4, 40, 23, 876, (1,) * 19 + tuple(range(2, 23))),
+    (4, 4, 80, 43, 3_356, (1,) * 39 + tuple(range(2, 43))),
+    (5, 5, 40, 30, 9_297, (1,) * 12 + tuple(range(2, 30))),
 ]
 
 # (m, t, all_colorings_good nodes summed over every n <= 11 and r in [1, n])
 _SMALL_TOTALS = [
     (3, 2, 311), (3, 3, 272),
-    (4, 2, 335), (4, 3, 569), (4, 4, 528),
-    (5, 2, 424), (5, 3, 452), (5, 4, 490), (5, 5, 493),
-    (6, 2, 817), (6, 3, 431), (6, 4, 479), (6, 5, 499), (6, 6, 506),
+    (4, 2, 335), (4, 3, 405), (4, 4, 436),
+    (5, 2, 424), (5, 3, 347), (5, 4, 448), (5, 5, 491),
+    (6, 2, 817), (6, 3, 348), (6, 4, 463), (6, 5, 498), (6, 6, 506),
 ]
 
 
@@ -308,9 +316,18 @@ class TestNodeCounts:
 
     @pytest.mark.parametrize("m,t,n,value,nodes,witness", _PINNED)
     def test_search_rs_capacity(self, m, t, n, value, nodes, witness):
-        # the full kernel, with the capacity rule and at m = t = 3 the
-        # doubling rule
+        # the full kernel: the capacity rule, at m = t = 3 the doubling rule
+        # and elsewhere the look-ahead rule
         self._check(m, t, n, value, nodes, witness)
+
+    @pytest.mark.parametrize("m,t,n,value,nodes,witness", _FRONTIER)
+    def test_lookahead_frontier(self, m, t, n, value, nodes, witness):
+        # without the look-ahead these take 789,650 nodes and more; the
+        # budget makes a weaker rule fail fast instead of running for minutes
+        result = search_rs(m, t, n, SearchBudget(max_nodes=10_000))
+        assert (result.value, result.nodes, result.witness.colors) == (value, nodes, witness)
+        found, _ = has_t_colored_solution(result.witness, m, t)
+        assert not found
 
     @pytest.mark.parametrize("m,t,total", _SMALL_TOTALS)
     def test_small_instances_node_totals(self, m, t, total):
@@ -386,6 +403,43 @@ class TestDoublingLemma:
         firsts = _first_occurrences(coloring)
         assert firsts == [2**k for k in range(n.bit_length())]
         assert all(q == 2 * p for p, q in zip(firsts, firsts[1:]))
+
+
+def _growth_strings(n):
+    """Every coloring of [1, n] up to renaming, as a restricted growth
+    string: each entry is at most one more than the largest before it."""
+    strings = [()]
+    for _ in range(n):
+        strings = [s + (c,) for s in strings for c in range(1, max(s, default=0) + 2)]
+    return strings
+
+
+class TestLookaheadLemma:
+    """The lemma behind the kernel's look-ahead rule, checked with the brute
+    oracle alone: in a coloring of [1, n] with no t-colored E_m solution and
+    first occurrences f_1 = 1 < f_2 < ..., set s0 = (m - t + 1) + f_2 + ... +
+    f_{t-2}.  Then for each color c >= t - 1, position f_c + s0 holds one of
+    the colors 1..t-2 or c: the m - t + 1 ones, f_2..f_{t-2} and f_c sum to
+    it and show those t - 1 colors.  So two positions that first get colors
+    t - 1 or later are never s0 apart."""
+
+    def test_counterexamples_keep_the_look_ahead(self):
+        colorings = positions = 0
+        for m in range(4, 7):
+            for t in range(3, m + 1):
+                for n in range(1, 9):
+                    for coloring in _growth_strings(n):
+                        if brute_has_t_colored(coloring, m, t):
+                            continue
+                        firsts = _first_occurrences(coloring)
+                        s0 = m - t + 1 + sum(firsts[1 : t - 2])
+                        for c, f in enumerate(firsts[t - 2 :], t - 1):
+                            if f + s0 <= n:
+                                shown = {*range(1, t - 1), c}
+                                assert coloring[f + s0 - 1] in shown, (m, t, coloring)
+                                positions += 1
+                        colorings += 1
+        assert (colorings, positions) == (28_447, 5_866)
 
 
 class TestSearchRs:
