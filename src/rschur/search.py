@@ -36,9 +36,10 @@ One kernel, a DFS in one process, does all the scanning.  It visits
 colorings in lexicographic order of their growth strings and reports the
 lexicographically least counterexample.
 
-Each public call builds the per-total solution index and its deadline once
-and hands both to the kernel for every r it scans.  The time limit is one
-absolute deadline on the time.monotonic() clock, and the node budget counts
+Each public call builds the solution index once, capped at
+equations.DEFAULT_INDEX_CAP entries, and hands it to the kernel for every r
+it scans.  The time limit is one absolute deadline on the time.monotonic()
+clock, read during the index build and the scan, and the node budget counts
 the nodes of every r, so both bound the whole call.  Budget exhaustion
 always raises BudgetExceeded; a partial scan is never reported as a verdict.
 """
@@ -50,11 +51,12 @@ import time
 from dataclasses import dataclass
 
 from .colorings import Coloring
-from .equations import index_solutions_by_total
+from .equations import DEFAULT_INDEX_CAP
 from .errors import BudgetExceeded, DomainError
 from .formulas import ComputedNumber, Method, ProblemParams, min_n_weak
 
 DEFAULT_MAX_NODES = 10**8
+Closers = list[list[tuple[tuple[int, ...], int]]]
 
 
 class Outcome(enum.Enum):
@@ -100,55 +102,56 @@ class SearchBudget:
             raise DomainError(f"threads must be at least 1, got {self.threads}")
 
 
-def _value_set_buckets(m: int, t: int, n: int) -> list[list[tuple[int, ...]]]:
-    """buckets[x] lists the distinct summand values of each solution with
-    total x.  Solutions with fewer than t distinct values can never show t
-    colors and are dropped; equal sets prune identically and are kept once.
+def _closers(m: int, t: int, n: int, deadline: float | None) -> Closers:
+    """closers[x] holds (others, y) for each solution of E_m in [1, n] with
+    largest summand x and total y; others are its other distinct summand
+    values, ascending.  Solutions with under t - 1 distinct summand values
+    never show t colors and are dropped.  At t = m only strictly increasing
+    summands are walked; below it each (value set, total) is kept once.
+    Raises BudgetExceeded, with no nodes spent, past `deadline` (read every
+    4,096 entries) or past equations.DEFAULT_INDEX_CAP entries stored before
+    that dedup: never more than the solutions index_solutions_by_total counts.
     """
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    for total, sols in index_solutions_by_total(m, n, distinct=t == m).items():
-        summand_sets = dict.fromkeys(tuple(sorted(set(sol.terms))) for sol in sols)
-        buckets[total] = [vals for vals in summand_sets if len(vals) >= t - 1]
-    return buckets
+    closers: Closers = [[] for _ in range(n + 1)]
+    step = 1 if t == m else 0
+    stored = 0
+
+    def walk(parts: int, lo: int, s: int, vals: tuple[int, ...]) -> None:
+        # parts summands left, each >= lo, after some with sum s and values vals
+        nonlocal stored
+        if len(vals) + parts < t - 1:
+            return
+        if parts > 1:
+            # the cheapest completion puts every later summand at its least
+            for v in range(lo, (n - s - step * parts * (parts - 1) // 2) // parts + 1):
+                walk(parts - 1, v + step, s + v, vals if vals[-1:] == (v,) else vals + (v,))
+            return
+        before = stored
+        for x in range(lo, n - s + 1):
+            others = vals if x > vals[-1] else vals[:-1]
+            if len(others) >= t - 2:
+                closers[x].append((others, s + x))
+                stored += 1
+        if stored > DEFAULT_INDEX_CAP:
+            raise BudgetExceeded(f"solution index exceeds the cap of {DEFAULT_INDEX_CAP}")
+        if deadline is not None and stored >> 12 != before >> 12 and time.monotonic() > deadline:
+            raise BudgetExceeded("time limit exhausted while building the solution index")
+
+    walk(m - 1, 1, 0, ())
+    # below t = m, tuples with different repeats can share values and total
+    return closers if step else [list(dict.fromkeys(entries)) for entries in closers]
 
 
-def _closers_by_largest(
-    buckets: list[list[tuple[int, ...]]],
-) -> list[list[tuple[tuple[int, ...], int]]]:
-    """closers[x] pairs the other summand values of each bucket entry whose
-    largest summand is x with its total: once x is colored, those summands
-    are all colored and their colors are fixed for the rest of the path."""
-    closers: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in buckets]
-    for total, bucket in enumerate(buckets):
-        for vals in bucket:
-            closers[vals[-1]].append((vals[:-1], total))
-    return closers
-
-
-def _new_color_jumps(closers: list[list[tuple[tuple[int, ...], int]]], t: int) -> list[int]:
-    """jumps[p]: the first position past p that a new color at p can leave
-    open.  At t = 3 a new color at p closes every total in closers[p]; at
-    m = 3 those are p+1..2p-1, so the jump is 2p.  Elsewhere it is p + 1."""
-    jumps = [p + 1 for p in range(len(closers))]
-    for p, entries in enumerate(closers):
-        totals = {y for _, y in entries} if t == 3 else ()
-        while jumps[p] in totals:
-            jumps[p] += 1
-    return jumps
-
-
-def _is_counterexample(colors: list[int], buckets: list[list[tuple[int, ...]]], t: int) -> bool:
-    for x, bucket in enumerate(buckets):
-        for vals in bucket:
-            if len({colors[x], *(colors[v] for v in vals)}) >= t:
+def _is_counterexample(colors: list[int], closers: Closers, t: int) -> bool:
+    for x, entries in enumerate(closers):
+        for others, y in entries:
+            if len({colors[x], colors[y], *(colors[v] for v in others)}) >= t:
                 return False
     return True
 
 
 def _search(
-    buckets: list[list[tuple[int, ...]]],
-    closers: list[list[tuple[tuple[int, ...], int]]],
-    jumps: list[int],
+    closers: Closers,
     m: int,
     t: int,
     n: int,
@@ -180,7 +183,7 @@ def _search(
     left = budget.max_nodes - spent
     nodes = 0
     leaves = 0
-    doubling = eager_prune and any(j > p + 1 for p, j in enumerate(jumps))
+    doubling = eager_prune and m == t == 3
     # off at m = t = 3, where the doubling walk is stronger
     lookahead = eager_prune and t >= 3 and m > 3
 
@@ -213,8 +216,9 @@ def _search(
         first positions of colors 1..min(used, t - 2)."""
         nonlocal nodes, leaves
         need = r - used
-        # each missing color first appears at its own open position, the one
-        # after p at jumps[p] or later; jumps grow, so greedy is longest
+        # each missing color first appears at its own open position; at
+        # m = t = 3 the one after p lies at 2p or later, so the greedy chain
+        # is the longest
         if eager_prune and free < need:
             return None
         if doubling:
@@ -224,7 +228,7 @@ def _search(
                     p += 1
                 if p > n:
                     return None
-                p = jumps[p]
+                p = 2 * p
         # once colors 1..t-2 are in use, missing colors at p and p + s0 would
         # show t colors with m - t + 1 ones and f_2..f_{t-2}: a run of L open
         # positions y, y + s0, ... holds at most ceil(L / 2) of them.  Each
@@ -284,7 +288,7 @@ def _search(
                     return found
             else:
                 leaves += 1
-                if eager_prune or _is_counterexample(colors, buckets, t):
+                if eager_prune or _is_counterexample(colors, closers, t):
                     return tuple(colors[1:])
         return None
 
@@ -316,12 +320,8 @@ def all_colorings_good(
     deadline = start + budget.time_limit if budget.time_limit is not None else None
     # with fewer than t colors no solution can show t, so no prune can fire
     # and every complete coloring is a counterexample: the index is not needed
-    buckets = _value_set_buckets(m, t, n) if r >= t else [[]] * (n + 1)
-    closers = _closers_by_largest(buckets)
-    jumps = _new_color_jumps(closers, t)
-    found, nodes, leaves = _search(
-        buckets, closers, jumps, m, t, n, r, budget, 0, deadline, eager_prune
-    )
+    closers = _closers(m, t, n, deadline) if r >= t else [[]] * (n + 1)
+    found, nodes, leaves = _search(closers, m, t, n, r, budget, 0, deadline, eager_prune)
     elapsed = time.monotonic() - start
     if found is None:
         return Verdict(Outcome.ALL_GOOD, None, nodes, elapsed, leaves)
@@ -365,15 +365,11 @@ def search_rs(
             None, Method.SEARCH, None, nodes=0, elapsed=time.monotonic() - start
         )
     deadline = start + budget.time_limit if budget.time_limit is not None else None
-    buckets = _value_set_buckets(m, t, n)
-    closers = _closers_by_largest(buckets)
-    jumps = _new_color_jumps(closers, t)
+    closers = _closers(m, t, n, deadline)
     total_nodes = 0
     previous = Coloring(n=n, colors=(1,) * n, r=1)
     for r in range(2, n + 1):
-        found, nodes, _ = _search(
-            buckets, closers, jumps, m, t, n, r, budget, total_nodes, deadline, True
-        )
+        found, nodes, _ = _search(closers, m, t, n, r, budget, total_nodes, deadline, True)
         total_nodes += nodes
         if found is None:
             return ComputedNumber(

@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import types
+from collections import Counter
 from itertools import combinations, product
 from pathlib import Path
 
@@ -23,10 +25,12 @@ from rschur import (
     SearchBudget,
     all_colorings_good,
     construct_rainbow_lower,
+    enumerate_solutions,
     has_t_colored_solution,
     merge_classes,
     rs3_formula,
     rs_formula,
+    rs_weak_formula,
     search_rs,
 )
 
@@ -131,50 +135,41 @@ class TestEngineModes:
         assert lazy.witness == eager.witness
         assert eager.nodes_explored <= lazy.nodes_explored
 
-    def test_buckets_built_once_per_call(self, monkeypatch):
+    def test_index_built_once_per_call(self, monkeypatch):
         calls = []
-        build = search_module._value_set_buckets
-        index = search_module._closers_by_largest
+        build = search_module._closers
 
-        def spy(*args):
-            calls.append(args)
-            return build(*args)
+        def spy(m, t, n, deadline):
+            calls.append((m, t, n))
+            return build(m, t, n, deadline)
 
-        def index_spy(buckets):
-            calls.append("closers")
-            return index(buckets)
-
-        monkeypatch.setattr(search_module, "_value_set_buckets", spy)
-        monkeypatch.setattr(search_module, "_closers_by_largest", index_spy)
+        monkeypatch.setattr(search_module, "_closers", spy)
         search_rs(4, 4, 8)
-        assert calls == [(4, 4, 8), "closers"]
+        assert calls == [(4, 4, 8)]
         calls.clear()
         search_rs(4, 4, 10, SearchBudget(threads=2))
-        assert calls == [(4, 4, 10), "closers"]
+        assert calls == [(4, 4, 10)]
         calls.clear()
         all_colorings_good(3, 3, 9, 4, SearchBudget(threads=2))
-        assert calls == [(3, 3, 9), "closers"]
+        assert calls == [(3, 3, 9)]
 
     @pytest.mark.parametrize("eager_prune", [True, False])
-    def test_no_buckets_below_t_colors(self, monkeypatch, eager_prune):
+    def test_no_index_below_t_colors(self, monkeypatch, eager_prune):
         # with r < t colors no solution can show t colors, so the index
         # changes nothing: same witness, nodes and leaves as a scan with it
         calls = []
-        build = search_module._value_set_buckets
+        build = search_module._closers
 
         def spy(*args):
             calls.append(args)
             return build(*args)
 
-        monkeypatch.setattr(search_module, "_value_set_buckets", spy)
+        monkeypatch.setattr(search_module, "_closers", spy)
         for m, t, n, r in [(4, 3, 16, 2), (5, 5, 9, 4), (6, 4, 8, 3), (3, 3, 1, 1)]:
             v = all_colorings_good(m, t, n, r, eager_prune=eager_prune)
             assert calls == []
-            buckets = build(m, t, n)
-            closers = search_module._closers_by_largest(buckets)
-            jumps = search_module._new_color_jumps(closers, t)
             found, nodes, leaves = search_module._search(
-                buckets, closers, jumps, m, t, n, r, SearchBudget(), 0, None, eager_prune
+                build(m, t, n, None), m, t, n, r, SearchBudget(), 0, None, eager_prune
             )
             assert v.outcome is Outcome.COUNTEREXAMPLE
             assert (v.witness.colors, v.nodes_explored, v.leaves) == (found, nodes, leaves)
@@ -196,6 +191,25 @@ class TestEngineModes:
             timeout=60,
         )
         assert out.stdout.split() == ["False", "False"]
+
+
+class TestIndex:
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+    def test_matches_the_solution_stream(self, m):
+        # from every solution of E_m: its distinct summand values, kept at
+        # t - 1 or more, once per (value set, total), under its largest value
+        for t in range(2, m + 1):
+            for n in range(1, 25):
+                pairs = {
+                    (tuple(sorted(set(sol.terms))), sol.total)
+                    for sol in enumerate_solutions(m, n)
+                }
+                expected = [Counter() for _ in range(n + 1)]
+                for vals, y in pairs:
+                    if len(vals) >= t - 1:
+                        expected[vals[-1]][vals[:-1], y] += 1
+                closers = search_module._closers(m, t, n, None)
+                assert [Counter(entries) for entries in closers] == expected, (m, t, n)
 
 
 class TestBudgets:
@@ -220,6 +234,30 @@ class TestBudgets:
         budget = SearchBudget(time_limit=0.5)
         with pytest.raises(BudgetExceeded):
             all_colorings_good(6, 6, 60, 49, budget)
+
+    def test_time_limit_covers_the_index_build(self, monkeypatch):
+        # a clock that jumps past the deadline right after the call starts:
+        # the index build of RS_4(160) must stop before any node is spent
+        ticks = iter([0.0])
+        clock = types.SimpleNamespace(monotonic=lambda: next(ticks, 1.0))
+        monkeypatch.setattr(search_module, "time", clock)
+        with pytest.raises(BudgetExceeded) as info:
+            search_rs(4, 4, 160, SearchBudget(time_limit=0.5))
+        assert info.value.nodes == 0
+        assert info.value.frontier == ()
+
+    def test_index_cap_counts_stored_entries(self, monkeypatch):
+        # at m = 5 no two summand tuples share a value set and a total, so
+        # every stored entry is kept
+        entries = sum(map(len, search_module._closers(5, 3, 16, None)))
+        monkeypatch.setattr(search_module, "DEFAULT_INDEX_CAP", entries)
+        assert search_rs(5, 3, 16).value == rs_weak_formula(3, 5, 16)
+        monkeypatch.setattr(search_module, "DEFAULT_INDEX_CAP", entries - 1)
+        with pytest.raises(BudgetExceeded) as info:
+            search_rs(5, 3, 16)
+        assert info.value.nodes == 0
+        with pytest.raises(BudgetExceeded):
+            all_colorings_good(5, 3, 16, 3)
 
     def test_search_rs_budget_covers_every_r(self):
         # r = 2..27 take 36 nodes each and r = 28 takes 2,035: each fits in
