@@ -36,10 +36,7 @@ from .errors import (
     RainbowSchurError,
 )
 from .formulas import (
-    ComputedNumber,
-    Method,
     ProblemParams,
-    compute_by_formula,
     formula_description,
     formula_value,
     min_n_rainbow,
@@ -49,6 +46,7 @@ from .formulas import (
     rs_weak_formula,
 )
 from .search import (
+    ComputedNumber,
     Outcome,
     SearchBudget,
     Verdict,
@@ -65,7 +63,6 @@ __all__ = [
     "ComputedNumber",
     "DomainError",
     "EmptyInput",
-    "Method",
     "Outcome",
     "ProblemParams",
     "RainbowSchurError",
@@ -77,7 +74,6 @@ __all__ = [
     "coloring_from_json",
     "coloring_from_text",
     "coloring_to_json",
-    "compute_by_formula",
     "construct_rainbow_lower",
     "construct_weak_lower",
     "count_solutions",

@@ -4,15 +4,13 @@ Subcommands: formula, search, verify, construct, check, solutions.
 
 Exit codes: 0 success, 1 a checked property is false, 2 domain error,
 3 budget exhausted or formula/search mismatch, 64 usage error, 65 parse
-error.  The environment variable RSCHUR_MAX_NODES overrides the default
-search node budget when --max-nodes is not given.
+error, 73 an --out file cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -26,12 +24,7 @@ from .colorings import (
 )
 from .equations import enumerate_solutions
 from .errors import BudgetExceeded, ColoringParseError, DomainError
-from .formulas import (
-    ProblemParams,
-    compute_by_formula,
-    formula_description,
-    formula_value,
-)
+from .formulas import ProblemParams, formula_description, formula_value
 from .search import DEFAULT_MAX_NODES, SearchBudget, search_rs
 
 EXIT_OK = 0
@@ -40,8 +33,7 @@ EXIT_DOMAIN = 2
 EXIT_BUDGET_OR_MISMATCH = 3
 EXIT_USAGE = 64
 EXIT_PARSE = 65
-
-ENV_MAX_NODES = "RSCHUR_MAX_NODES"
+EXIT_CANTCREAT = 73
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,32 +48,22 @@ def _rs_name(m: int, t: int) -> str:
     return f"RS_{m}" if t == m else f"RS_{{{t},{m}}}"
 
 
-def _resolve_budget(args) -> SearchBudget:
-    max_nodes = getattr(args, "max_nodes", None)
-    if max_nodes is None:
-        raw = os.environ.get(ENV_MAX_NODES)
-        if raw is not None:
-            try:
-                max_nodes = int(raw)
-            except ValueError:
-                raise DomainError(
-                    f"{ENV_MAX_NODES} must be an integer, got {raw!r}"
-                ) from None
-        else:
-            max_nodes = DEFAULT_MAX_NODES
-    return SearchBudget(
-        max_nodes=max_nodes,
-        time_limit=getattr(args, "time_limit", None),
-        threads=getattr(args, "threads", 1),
-    )
+def _write(path: str, text: str) -> bool:
+    """Write text to path; on failure say why on stderr and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"rschur: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_formula(args) -> int:
     t = args.t if args.t is not None else args.m
     ProblemParams(args.m, t, args.n)
-    number = compute_by_formula(args.m, args.n, t)
-    print(f"{_rs_name(args.m, t)}({args.n}) = {number.value}")
-    print(f"method: {number.method.value}")
+    print(f"{_rs_name(args.m, t)}({args.n}) = {formula_value(args.m, args.n, t)}")
+    print("method: formula")
     print(f"formula: {formula_description(args.m, t)}")
     return EXIT_OK
 
@@ -89,7 +71,7 @@ def cmd_formula(args) -> int:
 def cmd_search(args) -> int:
     t = args.t if args.t is not None else args.m
     ProblemParams(args.m, t, args.n)
-    budget = _resolve_budget(args)
+    budget = SearchBudget(args.max_nodes, args.time_limit, args.threads)
     result = search_rs(args.m, t, args.n, budget)
     name = _rs_name(args.m, t)
     if result.value is None:
@@ -99,15 +81,15 @@ def cmd_search(args) -> int:
         )
         return EXIT_OK
     print(f"{name}({args.n}) = {result.value}")
-    print(f"method: {result.method.value}")
+    print("method: search")
     print(f"nodes explored: {result.nodes}")
     print(f"elapsed: {result.elapsed * 1000.0:.0f} ms")
     witness = result.witness
     if witness is not None:
         print(f"witness with {witness.r} colors: {list(witness.colors)}")
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(coloring_to_json(witness) + "\n")
+            if not _write(args.out, coloring_to_json(witness) + "\n"):
+                return EXIT_CANTCREAT
             print(f"witness written to {args.out}")
     return EXIT_OK
 
@@ -122,7 +104,7 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    budget = _resolve_budget(args)
+    budget = SearchBudget(args.max_nodes, args.time_limit, args.threads)
     # one row per n; its keys are the TSV header, in order
     rows: list[dict] = []
     any_skipped = False
@@ -137,7 +119,7 @@ def cmd_verify(args) -> int:
         try:
             result = search_rs(args.m, t, n, budget)
             svalue = result.value
-            nodes = result.nodes or 0
+            nodes = result.nodes
         except BudgetExceeded as exc:
             any_skipped = True
             nodes = exc.nodes
@@ -222,8 +204,8 @@ def cmd_construct(args) -> int:
         f"self-check: no solution shows >= {t} distinct colors",
     ]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(document + "\n")
+        if not _write(args.out, document + "\n"):
+            return EXIT_CANTCREAT
         summary.append(f"coloring written to {args.out}")
         print("\n".join(summary))
     else:
@@ -276,8 +258,8 @@ def _build_parser() -> _Parser:
     budget_flags.add_argument(
         "--max-nodes",
         type=int,
-        default=None,
-        help=f"search node budget (default {DEFAULT_MAX_NODES}, or ${ENV_MAX_NODES})",
+        default=DEFAULT_MAX_NODES,
+        help=f"search node budget (default {DEFAULT_MAX_NODES})",
     )
     budget_flags.add_argument(
         "--time-limit", type=float, default=None, help="wall clock limit in seconds"

@@ -53,11 +53,6 @@ class Coloring:
         if top != self.r:
             raise DomainError(f"r = {self.r} but {top} colors actually appear")
 
-    def color_of(self, x: int) -> int:
-        if not 1 <= x <= self.n:
-            raise DomainError(f"{x} is outside [1, {self.n}]")
-        return self.colors[x - 1]
-
     def classes(self) -> list[list[int]]:
         """Color classes as ascending member lists, indexed by color id - 1."""
         out: list[list[int]] = [[] for _ in range(self.r)]
@@ -116,13 +111,16 @@ def surplus_count(c: Coloring) -> int:
     return surplus
 
 
-def _scan_solutions(
-    c: Coloring, m: int, t_target: int | None
-) -> tuple[int, SchurSolution | None]:
-    # Repeated values share a color, so a solution's color count is the number
-    # of distinct colors over its value set.  The witness returned is the
-    # first solution, in (total, lexicographic) order, to reach the reported
-    # count.
+def max_solution_colors(c: Coloring, m: int) -> tuple[int, SchurSolution | None]:
+    """Largest number of distinct colors any solution of E_m shows under c.
+
+    Returns (0, None) when [1, n] holds no solution at all; otherwise the
+    witness is the first solution, in (total, lexicographic summand) order,
+    to attain the maximum.  Repeated values share a color, so a solution's
+    color count is the number of distinct colors over its value set.
+    """
+    if m < 3:
+        raise DomainError(f"m must be at least 3, got {m}")
     colors = c.colors
     best = 0
     witness = None
@@ -133,26 +131,7 @@ def _scan_solutions(
         if count > best:
             best = count
             witness = sol
-            if t_target is not None and count >= t_target:
-                break
     return best, witness
-
-
-def max_solution_colors(
-    c: Coloring, m: int, t_target: int | None = None
-) -> tuple[int, SchurSolution | None]:
-    """Largest number of distinct colors any solution of E_m shows under c.
-
-    Returns (0, None) when [1, n] holds no solution at all.  When t_target is
-    given the scan stops at the first solution with at least that many colors
-    and returns it as witness; otherwise the full maximum is computed and the
-    witness is the first solution attaining it.
-    """
-    if m < 3:
-        raise DomainError(f"m must be at least 3, got {m}")
-    if t_target is not None and t_target < 1:
-        raise DomainError(f"t_target must be positive, got {t_target}")
-    return _scan_solutions(c, m, t_target)
 
 
 def _t_colored_tail(

@@ -6,7 +6,7 @@ so the m values of a solution are the summands and the total.
 
 Enumeration streams solutions ordered by (total, summand tuple) and never
 materializes the whole list; index_solutions_by_total does materialize and is
-therefore guarded by a configurable cap.
+therefore guarded by the cap DEFAULT_INDEX_CAP.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ class SchurSolution(NamedTuple):
     def values(self) -> tuple[int, ...]:
         """All m values of the solution: the summands followed by the total."""
         return self.terms + (self.total,)
-
-    def distinct_values(self) -> tuple[int, ...]:
-        """The values with repeats removed, ascending."""
-        return tuple(sorted(set(self.values)))
 
     def __str__(self) -> str:
         return " + ".join(str(v) for v in self.terms) + f" = {self.total}"
@@ -85,26 +81,21 @@ def count_solutions(m: int, n: int, distinct: bool = False) -> int:
 
 
 def index_solutions_by_total(
-    m: int,
-    n: int,
-    distinct: bool = False,
-    max_solutions: int = DEFAULT_INDEX_CAP,
+    m: int, n: int, distinct: bool = False
 ) -> dict[int, list[SchurSolution]]:
     """Bucket all solutions by total; totals without solutions get no bucket.
 
     Within a bucket the lexicographic summand order is preserved.  Raises
-    BudgetExceeded as soon as more than max_solutions would be stored.
+    BudgetExceeded as soon as more than DEFAULT_INDEX_CAP would be stored.
     """
-    if max_solutions < 1:
-        raise DomainError(f"max_solutions must be positive, got {max_solutions}")
     index: dict[int, list[SchurSolution]] = {}
     stored = 0
     for sol in enumerate_solutions(m, n, distinct):
         stored += 1
-        if stored > max_solutions:
+        if stored > DEFAULT_INDEX_CAP:
             raise BudgetExceeded(
-                f"solution index for m={m}, n={n} exceeds the cap of {max_solutions}",
-                nodes=max_solutions,
+                f"solution index for m={m}, n={n} exceeds the cap of {DEFAULT_INDEX_CAP}",
+                nodes=DEFAULT_INDEX_CAP,
             )
         index.setdefault(sol.total, []).append(sol)
     return index

@@ -11,14 +11,9 @@ integer division and the base-2 logarithm with bit lengths, never floats.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    from .colorings import Coloring
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -45,31 +40,6 @@ class ProblemParams:
             raise DomainError(f"t must lie in [2, m] = [2, {self.m}], got {self.t}")
         if self.n < 1:
             raise DomainError(f"n must be at least 1, got {self.n}")
-
-
-class Method(enum.Enum):
-    """How a value was obtained."""
-
-    FORMULA = "formula"
-    SEARCH = "search"
-
-
-@dataclass(frozen=True)
-class ComputedNumber:
-    """A rainbow Schur value together with its provenance.
-
-    value is None when the quantity is undefined (no solution in [1, n] can
-    show t distinct colors under any coloring).  When a witness is attached
-    it is an exact coloring with exactly value - 1 colors containing no
-    solution with t or more distinct colors.  nodes and elapsed are search
-    statistics, absent for formula results.
-    """
-
-    value: int | None
-    method: Method
-    witness: "Coloring | None" = None
-    nodes: int | None = None
-    elapsed: float | None = None
 
 
 def min_n_rainbow(m: int) -> int:
@@ -162,11 +132,6 @@ def _case(m: int, t: int):
 def formula_value(m: int, n: int, t: int | None = None) -> int:
     """Front door for all closed forms; t defaults to m (the rainbow case)."""
     return rs_weak_formula(m if t is None else t, m, n)
-
-
-def compute_by_formula(m: int, n: int, t: int | None = None) -> ComputedNumber:
-    """formula_value wrapped with its provenance tag."""
-    return ComputedNumber(value=formula_value(m, n, t), method=Method.FORMULA)
 
 
 def formula_description(m: int, t: int | None = None) -> str:

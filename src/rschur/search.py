@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from .colorings import Coloring
 from .equations import DEFAULT_INDEX_CAP
 from .errors import BudgetExceeded, DomainError
-from .formulas import ComputedNumber, Method, ProblemParams, min_n_weak
+from .formulas import ProblemParams, min_n_weak
 
 DEFAULT_MAX_NODES = 10**8
 Closers = list[list[tuple[tuple[int, ...], int]]]
@@ -76,8 +76,23 @@ class Verdict:
     outcome: Outcome
     witness: Coloring | None
     nodes_explored: int
+    leaves: int
+
+
+@dataclass(frozen=True)
+class ComputedNumber:
+    """A search_rs value with its witness and search statistics.
+
+    value is None when the quantity is undefined (no solution in [1, n] can
+    show t distinct colors under any coloring).  Otherwise witness is an
+    exact coloring with exactly value - 1 colors containing no solution with
+    t or more distinct colors.
+    """
+
+    value: int | None
+    witness: Coloring | None
+    nodes: int
     elapsed: float
-    leaves: int = 0
 
 
 @dataclass(frozen=True)
@@ -316,32 +331,17 @@ def all_colorings_good(
     if not 1 <= r <= n:
         raise DomainError(f"r must lie in [1, n] = [1, {n}], got {r}")
     budget = budget or SearchBudget()
-    start = time.monotonic()
-    deadline = start + budget.time_limit if budget.time_limit is not None else None
+    deadline = time.monotonic() + budget.time_limit if budget.time_limit is not None else None
     # with fewer than t colors no solution can show t, so no prune can fire
     # and every complete coloring is a counterexample: the index is not needed
     closers = _closers(m, t, n, deadline) if r >= t else [[]] * (n + 1)
     found, nodes, leaves = _search(closers, m, t, n, r, budget, 0, deadline, eager_prune)
-    elapsed = time.monotonic() - start
     if found is None:
-        return Verdict(Outcome.ALL_GOOD, None, nodes, elapsed, leaves)
-    return Verdict(
-        Outcome.COUNTEREXAMPLE,
-        Coloring(n=n, colors=found, r=r),
-        nodes,
-        elapsed,
-        leaves,
-    )
+        return Verdict(Outcome.ALL_GOOD, None, nodes, leaves)
+    return Verdict(Outcome.COUNTEREXAMPLE, Coloring(n=n, colors=found, r=r), nodes, leaves)
 
 
-def search_rs(
-    m: int,
-    t: int,
-    n: int,
-    budget: SearchBudget | None = None,
-    *,
-    witness_sink: list | None = None,
-) -> ComputedNumber:
+def search_rs(m: int, t: int, n: int, budget: SearchBudget | None = None) -> ComputedNumber:
     """Least r such that every exact r-coloring of [1, n] contains a solution
     of E_m with at least t distinct colors, found by upward scan.
 
@@ -352,18 +352,16 @@ def search_rs(
     a counterexample one color down: colorings without t-colored solutions
     exist at every r below the answer.  The attached witness is the
     counterexample found at value - 1 (the monochromatic coloring when value
-    is 2).  Each (r, witness) pair encountered is appended to witness_sink
-    when one is supplied.  The budget covers the whole scan: each r gets the
-    nodes and time the earlier ones left, and BudgetExceeded carries the
-    node count summed over every r.
+    is 2); all_colorings_good(m, t, n, r).witness is the one at a lower r.
+    The budget covers the whole scan: each r gets the nodes and time the
+    earlier ones left, and BudgetExceeded carries the node count summed over
+    every r.
     """
     ProblemParams(m, t, n)
     budget = budget or SearchBudget()
     start = time.monotonic()
     if n < min_n_weak(t, m):
-        return ComputedNumber(
-            None, Method.SEARCH, None, nodes=0, elapsed=time.monotonic() - start
-        )
+        return ComputedNumber(None, None, 0, time.monotonic() - start)
     deadline = start + budget.time_limit if budget.time_limit is not None else None
     closers = _closers(m, t, n, deadline)
     total_nodes = 0
@@ -372,16 +370,8 @@ def search_rs(
         found, nodes, _ = _search(closers, m, t, n, r, budget, total_nodes, deadline, True)
         total_nodes += nodes
         if found is None:
-            return ComputedNumber(
-                r,
-                Method.SEARCH,
-                previous,
-                nodes=total_nodes,
-                elapsed=time.monotonic() - start,
-            )
+            return ComputedNumber(r, previous, total_nodes, time.monotonic() - start)
         previous = Coloring(n=n, colors=found, r=r)
-        if witness_sink is not None:
-            witness_sink.append((r, previous))
     raise AssertionError(
         "unreachable: the all-singleton coloring contains a t-colored solution"
     )

@@ -36,6 +36,11 @@ from rschur import (
 WitnessMap = dict  # (m, t, n) -> list of (r, counterexample Coloring)
 
 
+def counterexamples_below(m, t, n, value):
+    """(r, least counterexample) at every r from 2 to below the value."""
+    return [(r, all_colorings_good(m, t, n, r).witness) for r in range(2, value or 2)]
+
+
 def report(number, label, failures, elapsed=None, limit=None):
     """Print the one-line verdict for a criterion, then fail on any findings."""
     status = "PASS" if not failures else "FAIL"
@@ -54,9 +59,8 @@ def rainbow_grid():
     started = time.monotonic()
     for m, n_lo, n_hi in ((3, 3, 12), (4, 6, 12), (5, 10, 13), (6, 15, 19)):
         for n in range(n_lo, n_hi + 1):
-            sink = []
-            searched = search_rs(m, m, n, witness_sink=sink).value
-            witnesses[(m, m, n)] = sink
+            searched = search_rs(m, m, n).value
+            witnesses[(m, m, n)] = counterexamples_below(m, m, n, searched)
             rows.append((m, n, searched, formula_value(m, n)))
     return rows, witnesses, time.monotonic() - started
 
@@ -79,9 +83,8 @@ def weak_grid():
     rows = []
     started = time.monotonic()
     for t, m, n, closed_form in points:
-        sink = []
-        searched = search_rs(m, t, n, witness_sink=sink).value
-        witnesses[(m, t, n)] = sink
+        searched = search_rs(m, t, n).value
+        witnesses[(m, t, n)] = counterexamples_below(m, t, n, searched)
         rows.append((t, m, n, searched, rs_weak_formula(t, m, n), closed_form))
     return rows, witnesses, time.monotonic() - started
 
@@ -90,9 +93,8 @@ def weak_grid():
 def small_interval_example():
     """The three-class coloring of [1, 6] with only monochromatic solutions."""
     coloring = from_classes(6, [[1, 2, 5, 6], [3], [4]])
-    sink = []
-    value = search_rs(6, 2, 6, witness_sink=sink).value
-    return coloring, value, sink
+    value = search_rs(6, 2, 6).value
+    return coloring, value, counterexamples_below(6, 2, 6, value)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""Command line behavior: output text, exit codes, files, environment."""
+"""Command line behavior: output text, exit codes and files."""
 
 import json
 
@@ -112,23 +112,11 @@ class TestSearch:
         assert code == 2
         assert "time_limit must be positive" in err
 
-    def test_node_budget_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("RSCHUR_MAX_NODES", "5")
-        assert run(capsys, "search", "--m", "3", "--n", "12")[0] == 3
-
-    def test_flag_beats_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("RSCHUR_MAX_NODES", "5")
-        code, out, _ = run(
-            capsys, "search", "--m", "3", "--n", "12", "--max-nodes", "100000"
-        )
-        assert code == 0
-        assert "RS_3(12) = 5" in out
-
-    def test_bad_environment_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("RSCHUR_MAX_NODES", "many")
-        code, _, err = run(capsys, "search", "--m", "3", "--n", "8")
-        assert code == 2
-        assert "RSCHUR_MAX_NODES" in err
+    def test_unwritable_out_exits_73(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "witness.json"
+        code, _, err = run(capsys, "search", "--m", "4", "--n", "6", "--out", str(out_file))
+        assert code == 73
+        assert err == f"rschur: cannot write {out_file}: No such file or directory\n"
 
 
 class TestVerify:
@@ -219,6 +207,13 @@ class TestConstruct:
         assert code == 0
         assert f"coloring written to {out_file}" in out
         assert json.loads(out_file.read_text())["n"] == 12
+
+    def test_unwritable_out_exits_73(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "coloring.json"
+        code, out, err = run(capsys, "construct", "--m", "4", "--n", "10", "--out", str(out_file))
+        assert code == 73
+        assert out == ""
+        assert err == f"rschur: cannot write {out_file}: No such file or directory\n"
 
     def test_domain_error(self, capsys):
         assert run(capsys, "construct", "--m", "4", "--n", "5")[0] == 2

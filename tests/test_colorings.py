@@ -93,7 +93,7 @@ class TestDetection:
 
     def test_singletons_reach_rainbow(self):
         c = canonicalize(range(1, 7))
-        count, witness = max_solution_colors(c, 4, t_target=4)
+        count, witness = max_solution_colors(c, 4)
         assert count == 4
         assert (witness.terms, witness.total) == ((1, 2, 3), 6)
 
@@ -107,7 +107,7 @@ class TestDetection:
         all_singletons = canonicalize(range(1, 7))
         found, witness = has_t_colored_solution(all_singletons, 6, 2)
         assert found
-        shown = {all_singletons.color_of(v) for v in witness.values}
+        shown = {all_singletons.colors[v - 1] for v in witness.values}
         assert len(shown) >= 2
 
     def test_witness_is_first_in_stream_order(self):
@@ -210,6 +210,37 @@ class TestBoundedScan:
                     got = has_t_colored_solution(split, m, t)
                     assert got[0], (t, m, n, x)
                     assert got == first_matches(split, m)[t], (t, m, n, x)
+
+
+class TestMaxFromThresholdScans:
+    """max_solution_colors is the first hit of has_t_colored_solution on the
+    ladder t = m, m - 1, ..., 1, with the same witness, so the full solution
+    walk can be replaced by threshold scans."""
+
+    @staticmethod
+    def check(c, m):
+        maximum = max_solution_colors(c, m)
+        hits = {t: has_t_colored_solution(c, m, t) for t in range(1, m + 1)}
+        first = next((t for t in range(m, 0, -1) if hits[t][0]), None)
+        assert maximum == ((0, None) if first is None else (first, hits[first][1])), (c, m)
+        for t in range(1, m + 1):
+            assert (maximum[0] >= t) == hits[t][0], (c, m, t)
+
+    def test_random_colorings(self):
+        rng = random.Random(14)
+        for _ in range(400):
+            m = rng.randint(3, 7)
+            n = rng.randint(1, 22)
+            k = rng.randint(1, n)
+            self.check(canonicalize([rng.randint(1, k) for _ in range(n)]), m)
+
+    def test_constructions(self):
+        # the criterion-4 families, cut at n = 22: the full walks over the
+        # grid up to n = 40 take about 10 s
+        for m in range(3, 10):
+            for t in range(2, m + 1):
+                for n in range(min_n_weak(t, m), 23):
+                    self.check(construct_weak_lower(t, m, n), m)
 
 
 class TestConstructions:

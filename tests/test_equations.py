@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import rschur.equations as equations_module
 from brute_oracle import brute_distinct_solutions, brute_solutions
 from rschur import (
     BudgetExceeded,
@@ -75,7 +76,6 @@ class TestEnumerate:
     def test_solution_value_helpers(self):
         sol = SchurSolution((1, 1, 2), 4)
         assert sol.values == (1, 1, 2, 4)
-        assert sol.distinct_values() == (1, 2, 4)
         assert str(sol) == "1 + 1 + 2 = 4"
 
 
@@ -117,6 +117,7 @@ class TestIndex:
             assert bucket
             assert all(sol.total == total for sol in bucket)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(equations_module, "DEFAULT_INDEX_CAP", 10)
         with pytest.raises(BudgetExceeded):
-            index_solutions_by_total(3, 30, max_solutions=10)
+            index_solutions_by_total(3, 30)

@@ -5,11 +5,8 @@ import random
 import pytest
 
 from rschur import (
-    ComputedNumber,
     DomainError,
-    Method,
     ProblemParams,
-    compute_by_formula,
     formula_value,
     min_n_rainbow,
     min_n_weak,
@@ -154,13 +151,6 @@ class TestFrontDoor:
         assert formula_value(3, 10, t=3) == 5
         assert formula_value(5, 10, t=4) == 9
         assert formula_value(4, 50, t=4) == rs_formula(4, 50)
-
-    def test_computed_number_tagging(self):
-        number = compute_by_formula(4, 100)
-        assert isinstance(number, ComputedNumber)
-        assert number.value == 53
-        assert number.method is Method.FORMULA
-        assert number.witness is None
 
 
 class TestProblemParams:

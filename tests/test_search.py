@@ -20,7 +20,6 @@ from brute_oracle import (
 from rschur import (
     BudgetExceeded,
     DomainError,
-    Method,
     Outcome,
     SearchBudget,
     all_colorings_good,
@@ -495,7 +494,6 @@ class TestSearchRs:
     def test_values(self, m, t, n, expected):
         result = search_rs(m, t, n)
         assert result.value == expected
-        assert result.method is Method.SEARCH
         assert result.nodes > 0
 
     def test_agrees_with_formulas(self):
@@ -525,25 +523,24 @@ class TestSearchRs:
         assert result.value == 2
         assert result.witness.colors == (1,) * 6
 
-    def test_witness_sink_collects_every_level(self):
-        sink = []
-        result = search_rs(4, 4, 8, witness_sink=sink)
+    def test_counterexample_at_every_level_below_the_value(self):
+        result = search_rs(4, 4, 8)
         assert result.value == rs_formula(4, 8) == 7
-        assert [r for r, _ in sink] == list(range(2, 7))
-        for r, witness in sink:
+        for r in range(2, 7):
+            witness = all_colorings_good(4, 4, 8, r).witness
             assert witness.r == r
             found, _ = has_t_colored_solution(witness, 4, 4)
             assert not found
+        # the attached witness is the scan's counterexample at value - 1
+        assert result.witness == witness
 
-    def test_sunk_witnesses_merge_downward(self):
+    def test_counterexamples_merge_downward(self):
         # merging two classes of a counterexample yields a counterexample one
         # color down, which is why the upward scan may stop at the first
         # all-good level
-        sink = []
-        search_rs(3, 3, 10, witness_sink=sink)
-        for r, witness in sink:
-            if r < 3:
-                continue
+        value = search_rs(3, 3, 10).value
+        for r in range(3, value):
+            witness = all_colorings_good(3, 3, 10, r).witness
             merged = merge_classes(witness, 1, 2)
             assert merged.r == r - 1
             found, _ = has_t_colored_solution(merged, 3, 3)
