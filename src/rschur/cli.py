@@ -4,7 +4,7 @@ Subcommands: formula, search, verify, construct, check, solutions.
 
 Exit codes: 0 success, 1 a checked property is false, 2 domain error,
 3 budget exhausted or formula/search mismatch, 64 usage error, 65 parse
-error, 73 an --out file cannot be written.
+error, 66 an input file cannot be read, 73 an --out file cannot be written.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ EXIT_DOMAIN = 2
 EXIT_BUDGET_OR_MISMATCH = 3
 EXIT_USAGE = 64
 EXIT_PARSE = 65
+EXIT_NOINPUT = 66
 EXIT_CANTCREAT = 73
 
 
@@ -221,7 +222,8 @@ def cmd_check(args) -> int:
         with open(args.coloring, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise ColoringParseError(f"cannot read {args.coloring}: {exc}") from exc
+        print(f"rschur: cannot read {args.coloring}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_NOINPUT
     coloring = parse_coloring(text)
     maximum, witness = max_solution_colors(coloring, args.m)
     print(f"n: {coloring.n}")

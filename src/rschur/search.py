@@ -32,7 +32,8 @@ missing colors are s0 apart.  A run of L open positions y, y + s0, ... then
 holds at most ceil(L / 2) of them, and the branch is abandoned when the runs
 hold fewer than r - used.  All of this needs eager_prune=True.
 
-One kernel, a DFS in one process, does all the scanning.  It visits
+One kernel, a depth-first scan in one process, does all the scanning: one
+loop over positions, with the growth string as its odometer.  It visits
 colorings in lexicographic order of their growth strings and reports the
 lexicographically least counterexample.
 
@@ -178,7 +179,9 @@ def _search(
 ):
     """Depth-first scan of every exact r-coloring of [1, n], in lexicographic
     order of growth strings, after `spent` nodes of the budget went to
-    earlier scans of the same call.
+    earlier scans of the same call.  The scan is one loop over positions:
+    the next color tried at x is colors[x] + 1, and backtracking into x
+    pops the trail of changes to allowed down to mark[x].
 
     Returns (witness, nodes, leaves).  The scan stops at the first
     counterexample, so witness is the lexicographically least one, or None
@@ -190,85 +193,74 @@ def _search(
     time.monotonic() clock.
     """
     colors = [0] * (n + 1)
-    bits = [1 << c for c in colors]
+    bits = [1] * (n + 1)
     # allowed[y]: bit c set when color c at y completes no t-colored
     # solution; y is open while it is -1
     allowed = [-1] * (n + 1)
     trail: list[tuple[int, int]] = []  # (y, old allowed[y]) along the path, for undo
+    # used, free and s0 on reaching x, for backtracking into it: colors in
+    # use, open positions in [x, n], and m - t plus the first positions of
+    # colors 1..min(used, t - 2); mark[x]: trail length before x's closings
+    used_at = [0] * (n + 1)
+    free_at = [n] * (n + 1)
+    s0_at = [m - t] * (n + 1)
+    mark = [0] * (n + 1)
     left = budget.max_nodes - spent
     nodes = 0
     leaves = 0
     doubling = eager_prune and m == t == 3
     # off at m = t = 3, where the doubling walk is stronger
     lookahead = eager_prune and t >= 3 and m > 3
-
-    def close(x: int, slack: int) -> int:
-        """Fold the solutions that the coloring of x completes into allowed;
-        returns how many positions it closed, or stops once that exceeds
-        slack, since the next dfs then prunes before reading any state."""
-        if slack < 0:
-            return 0
-        closings = 0
-        for others, y in closers[x]:
-            mask = bits[x]
-            for v in others:
-                mask |= bits[v]
-            k = mask.bit_count()
-            if k >= t - 1:
-                old = allowed[y]
-                new = 0 if k >= t else old & mask
-                if new != old:
-                    allowed[y] = new
-                    trail.append((y, old))
-                    if old == -1:
-                        closings += 1
-                        if closings > slack:
-                            break
-        return closings
-
-    def dfs(x: int, used: int, free: int, s0: int) -> tuple[int, ...] | None:
-        """free counts the open positions in [x, n]; s0 is m - t plus the
-        first positions of colors 1..min(used, t - 2)."""
-        nonlocal nodes, leaves
-        need = r - used
-        # each missing color first appears at its own open position; at
-        # m = t = 3 the one after p lies at 2p or later, so the greedy chain
-        # is the longest
-        if eager_prune and free < need:
-            return None
-        if doubling:
-            p = x
-            for _ in range(need):
-                while p <= n and allowed[p] != -1:
-                    p += 1
-                if p > n:
-                    return None
-                p = 2 * p
-        # once colors 1..t-2 are in use, missing colors at p and p + s0 would
-        # show t colors with m - t + 1 ones and f_2..f_{t-2}: a run of L open
-        # positions y, y + s0, ... holds at most ceil(L / 2) of them.  Each
-        # run gives at least L / 2, and every run is 1 long at s0 > n - x, so
-        # neither case can prune
-        if lookahead and used >= t - 2 and free < 2 * need and s0 <= n - x:
-            room = 0
-            for start in range(x, x + s0):
-                run = 0
-                for a in allowed[start::s0]:
-                    if a == -1:
-                        run += 1
-                    else:
-                        room += run + 1 >> 1
-                        run = 0
-                room += run + 1 >> 1
-            if room < need:
-                return None
+    x = 1
+    used = 0
+    free = n
+    s0 = m - t
+    reached = True  # x was just reached from x - 1, not backtracked into
+    while x:
         cap = used + 1 if used < r else r
-        # an old color leaves `used` unchanged, so it is only viable while
-        # enough positions remain to introduce the missing colors
-        lo = 1 if used + (n - x) >= r else used + 1
+        if reached:
+            used_at[x] = used
+            free_at[x] = free
+            s0_at[x] = s0
+            need = r - used
+            # each missing color first appears at its own open position; at
+            # m = t = 3 the one after p lies at 2p or later, so the greedy
+            # chain is the longest
+            viable = not eager_prune or free >= need
+            if viable and doubling:
+                p = x
+                for _ in range(need):
+                    while p <= n and allowed[p] != -1:
+                        p += 1
+                    if p > n:
+                        viable = False
+                        break
+                    p = 2 * p
+            # once colors 1..t-2 are in use, missing colors at p and p + s0
+            # would show t colors with m - t + 1 ones and f_2..f_{t-2}: a run
+            # of L open positions y, y + s0, ... holds at most ceil(L / 2) of
+            # them.  Each run gives at least L / 2, and every run is 1 long
+            # at s0 > n - x, so neither case can prune
+            if viable and lookahead and used >= t - 2 and free < 2 * need and s0 <= n - x:
+                room = 0
+                for start in range(x, x + s0):
+                    run = 0
+                    for a in allowed[start::s0]:
+                        if a == -1:
+                            run += 1
+                        else:
+                            room += run + 1 >> 1
+                            run = 0
+                    room += run + 1 >> 1
+                viable = room >= need
+            # a pruned x starts past its last color; an old color leaves
+            # `used` as it is, so it is only tried while enough positions
+            # remain for the missing colors
+            c = cap + 1 if not viable else 1 if used + (n - x) >= r else used + 1
+        else:
+            c = colors[x] + 1
         here = allowed[x]
-        free_after = free - (here == -1)
-        for c in range(lo, cap + 1):
+        while c <= cap:
             nodes += 1
             # the clock is read on the first node too, so a scan started
             # after the deadline stops at once
@@ -282,32 +274,59 @@ def _search(
                 raise BudgetExceeded(
                     message, nodes=spent + nodes, frontier=tuple(colors[1:x]) + (c,)
                 )
-            if not here >> c & 1:
-                continue
-            colors[x] = c
-            bits[x] = 1 << c
-            if x < n:
-                now = used if c <= used else c
-                mark = len(trail)
-                closings = 0
-                # x and the summands it completes show at most `now` colors,
-                # so below t - 1 of them nothing closes
-                if eager_prune and now >= t - 1:
-                    closings = close(x, free_after - (r - now))
-                first = used < c <= t - 2
-                found = dfs(x + 1, now, free_after - closings, s0 + x if first else s0)
-                while len(trail) > mark:
-                    y, old = trail.pop()
-                    allowed[y] = old
-                if found:
-                    return found
-            else:
-                leaves += 1
-                if eager_prune or _is_counterexample(colors, closers, t):
-                    return tuple(colors[1:])
-        return None
-
-    return dfs(1, 0, n, m - t), nodes, leaves
+            if here >> c & 1:
+                break
+            c += 1
+        if c > cap:
+            # x is spent: back to x - 1, undoing what its color closed
+            x -= 1
+            reached = False
+            for _ in range(len(trail) - mark[x]):
+                y, old = trail.pop()
+                allowed[y] = old
+            used = used_at[x]
+            free = free_at[x]
+            s0 = s0_at[x]
+            continue
+        colors[x] = c
+        bits[x] = bit = 1 << c
+        if x == n:
+            leaves += 1
+            if eager_prune or _is_counterexample(colors, closers, t):
+                return tuple(colors[1:]), nodes, leaves
+            reached = False
+            continue
+        now = used if c <= used else c
+        free -= here == -1
+        mark[x] = len(trail)
+        closings = 0
+        slack = free - (r - now)
+        # x and the summands it completes show at most `now` colors, so
+        # below t - 1 of them nothing closes; past slack closings the next
+        # position prunes before reading any state
+        if eager_prune and now >= t - 1 and slack >= 0:
+            for others, y in closers[x]:
+                mask = bit
+                for v in others:
+                    mask |= bits[v]
+                k = mask.bit_count()
+                if k >= t - 1:
+                    old = allowed[y]
+                    new = 0 if k >= t else old & mask
+                    if new != old:
+                        allowed[y] = new
+                        trail.append((y, old))
+                        if old == -1:
+                            closings += 1
+                            if closings > slack:
+                                break
+        if used < c <= t - 2:
+            s0 += x
+        x += 1
+        used = now
+        free -= closings
+        reached = True
+    return None, nodes, leaves
 
 
 def all_colorings_good(
@@ -365,13 +384,14 @@ def search_rs(m: int, t: int, n: int, budget: SearchBudget | None = None) -> Com
     deadline = start + budget.time_limit if budget.time_limit is not None else None
     closers = _closers(m, t, n, deadline)
     total_nodes = 0
-    previous = Coloring(n=n, colors=(1,) * n, r=1)
+    previous = (1,) * n
     for r in range(2, n + 1):
         found, nodes, _ = _search(closers, m, t, n, r, budget, total_nodes, deadline, True)
         total_nodes += nodes
         if found is None:
-            return ComputedNumber(r, previous, total_nodes, time.monotonic() - start)
-        previous = Coloring(n=n, colors=found, r=r)
+            witness = Coloring(n=n, colors=previous, r=r - 1)
+            return ComputedNumber(r, witness, total_nodes, time.monotonic() - start)
+        previous = found
     raise AssertionError(
         "unreachable: the all-singleton coloring contains a t-colored solution"
     )

@@ -277,8 +277,10 @@ class TestCheck:
         assert "parse error" in err
 
     def test_missing_file(self, capsys, tmp_path):
-        code, _, err = run(capsys, "check", "--m", "4", str(tmp_path / "absent"))
-        assert code == 65
+        path = str(tmp_path / "absent")
+        code, _, err = run(capsys, "check", "--m", "4", path)
+        assert code == 66
+        assert err == f"rschur: cannot read {path}: No such file or directory\n"
 
 
 class TestSolutions:

@@ -277,9 +277,31 @@ class TestBudgets:
             all_colorings_good(5, 5, 40, 30, SearchBudget(max_nodes=3000))
         assert info.value.nodes > 3000
 
+    def test_node_budget_semantics(self):
+        # a budget of exactly the scan's N nodes changes nothing, and each
+        # smaller one stops at node b + 1; the scan visits nodes in preorder
+        # of the growth-string trie, so the frontiers rise in tuple order
+        instances = 0
+        for m, n in product(range(3, 6), range(3, 9)):
+            for t, r in product(range(3, m + 1), range(1, n + 1)):
+                free = all_colorings_good(m, t, n, r)
+                total = free.nodes_explored
+                if not total:
+                    continue
+                instances += 1
+                assert all_colorings_good(m, t, n, r, SearchBudget(max_nodes=total)) == free
+                previous = ()
+                for b in range(1, total):
+                    with pytest.raises(BudgetExceeded) as info:
+                        all_colorings_good(m, t, n, r, SearchBudget(max_nodes=b))
+                    assert info.value.nodes == b + 1, (m, t, n, r, b)
+                    assert info.value.frontier > previous, (m, t, n, r, b)
+                    previous = info.value.frontier
+        assert instances == 183
+
     def test_budget_propagates(self):
         # the budget runs out below depth 8, and the exception carries the
-        # node count and the full frontier out of the recursion
+        # node count and the frontier of the position loop at that node
         budget = SearchBudget(max_nodes=5266)
         with pytest.raises(BudgetExceeded) as info:
             all_colorings_good(3, 2, 12, 6, budget, eager_prune=False)
