@@ -224,6 +224,10 @@ def cmd_check(args) -> int:
     except OSError as exc:
         print(f"rschur: cannot read {args.coloring}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_NOINPUT
+    except UnicodeDecodeError as exc:
+        raise ColoringParseError(
+            f"{args.coloring} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
     coloring = parse_coloring(text)
     maximum, witness = max_solution_colors(coloring, args.m)
     print(f"n: {coloring.n}")

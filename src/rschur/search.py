@@ -30,7 +30,7 @@ f_{t-2}.  A new color at p closes p + s0, since the solution with m - t + 1
 ones, f_2..f_{t-2} and p shows t - 1 colors; so no two positions that get
 missing colors are s0 apart.  A run of L open positions y, y + s0, ... then
 holds at most ceil(L / 2) of them, and the branch is abandoned when the runs
-hold fewer than r - used.  All of this needs eager_prune=True.
+hold fewer than r - used.
 
 One kernel, a depth-first scan in one process, does all the scanning: one
 loop over positions, with the growth string as its odometer.  It visits
@@ -71,7 +71,8 @@ class Verdict:
 
     ALL_GOOD means each one contains a solution with at least t distinct
     colors; COUNTEREXAMPLE carries one that does not.  leaves counts the
-    complete exact-r colorings the search actually reached.
+    complete colorings reached; the first one ends the scan as a
+    counterexample, so it is 1 with COUNTEREXAMPLE and 0 with ALL_GOOD.
     """
 
     outcome: Outcome
@@ -158,14 +159,6 @@ def _closers(m: int, t: int, n: int, deadline: float | None) -> Closers:
     return closers if step else [list(dict.fromkeys(entries)) for entries in closers]
 
 
-def _is_counterexample(colors: list[int], closers: Closers, t: int) -> bool:
-    for x, entries in enumerate(closers):
-        for others, y in entries:
-            if len({colors[x], colors[y], *(colors[v] for v in others)}) >= t:
-                return False
-    return True
-
-
 def _search(
     closers: Closers,
     m: int,
@@ -175,7 +168,6 @@ def _search(
     budget: SearchBudget,
     spent: int,
     deadline: float | None,
-    eager_prune: bool,
 ):
     """Depth-first scan of every exact r-coloring of [1, n], in lexicographic
     order of growth strings, after `spent` nodes of the budget went to
@@ -183,14 +175,12 @@ def _search(
     the next color tried at x is colors[x] + 1, and backtracking into x
     pops the trail of changes to allowed down to mark[x].
 
-    Returns (witness, nodes, leaves).  The scan stops at the first
-    counterexample, so witness is the lexicographically least one, or None
-    when there is none.  With eager_prune=False solutions are only checked
-    at complete colorings, so every exact-r coloring is visited; that mode
-    exists to make the leaf count externally checkable against partition
-    counts.  Raises BudgetExceeded, with the nodes counted over the whole
-    call, past the budget's max_nodes or the absolute `deadline` on the
-    time.monotonic() clock.
+    Returns (witness, nodes).  A color is only placed where allowed admits
+    it, so every complete coloring the scan reaches is a counterexample: the
+    scan stops there, and witness is the lexicographically least one, or
+    None when there is none.  Raises BudgetExceeded, with the nodes counted
+    over the whole call, past the budget's max_nodes or the absolute
+    `deadline` on the time.monotonic() clock.
     """
     colors = [0] * (n + 1)
     bits = [1] * (n + 1)
@@ -207,10 +197,9 @@ def _search(
     mark = [0] * (n + 1)
     left = budget.max_nodes - spent
     nodes = 0
-    leaves = 0
-    doubling = eager_prune and m == t == 3
+    doubling = m == t == 3
     # off at m = t = 3, where the doubling walk is stronger
-    lookahead = eager_prune and t >= 3 and m > 3
+    lookahead = t >= 3 and m > 3
     x = 1
     used = 0
     free = n
@@ -226,7 +215,7 @@ def _search(
             # each missing color first appears at its own open position; at
             # m = t = 3 the one after p lies at 2p or later, so the greedy
             # chain is the longest
-            viable = not eager_prune or free >= need
+            viable = free >= need
             if viable and doubling:
                 p = x
                 for _ in range(need):
@@ -289,13 +278,9 @@ def _search(
             s0 = s0_at[x]
             continue
         colors[x] = c
-        bits[x] = bit = 1 << c
         if x == n:
-            leaves += 1
-            if eager_prune or _is_counterexample(colors, closers, t):
-                return tuple(colors[1:]), nodes, leaves
-            reached = False
-            continue
+            return tuple(colors[1:]), nodes
+        bits[x] = bit = 1 << c
         now = used if c <= used else c
         free -= here == -1
         mark[x] = len(trail)
@@ -304,7 +289,7 @@ def _search(
         # x and the summands it completes show at most `now` colors, so
         # below t - 1 of them nothing closes; past slack closings the next
         # position prunes before reading any state
-        if eager_prune and now >= t - 1 and slack >= 0:
+        if now >= t - 1 and slack >= 0:
             for others, y in closers[x]:
                 mask = bit
                 for v in others:
@@ -326,7 +311,7 @@ def _search(
         used = now
         free -= closings
         reached = True
-    return None, nodes, leaves
+    return None, nodes
 
 
 def all_colorings_good(
@@ -335,8 +320,6 @@ def all_colorings_good(
     n: int,
     r: int,
     budget: SearchBudget | None = None,
-    *,
-    eager_prune: bool = True,
 ) -> Verdict:
     """Check whether every exact r-coloring of [1, n] contains a solution of
     E_m with at least t distinct colors.
@@ -354,10 +337,10 @@ def all_colorings_good(
     # with fewer than t colors no solution can show t, so no prune can fire
     # and every complete coloring is a counterexample: the index is not needed
     closers = _closers(m, t, n, deadline) if r >= t else [[]] * (n + 1)
-    found, nodes, leaves = _search(closers, m, t, n, r, budget, 0, deadline, eager_prune)
+    found, nodes = _search(closers, m, t, n, r, budget, 0, deadline)
     if found is None:
-        return Verdict(Outcome.ALL_GOOD, None, nodes, leaves)
-    return Verdict(Outcome.COUNTEREXAMPLE, Coloring(n=n, colors=found, r=r), nodes, leaves)
+        return Verdict(Outcome.ALL_GOOD, None, nodes, 0)
+    return Verdict(Outcome.COUNTEREXAMPLE, Coloring(n=n, colors=found, r=r), nodes, 1)
 
 
 def search_rs(m: int, t: int, n: int, budget: SearchBudget | None = None) -> ComputedNumber:
@@ -386,7 +369,7 @@ def search_rs(m: int, t: int, n: int, budget: SearchBudget | None = None) -> Com
     total_nodes = 0
     previous = (1,) * n
     for r in range(2, n + 1):
-        found, nodes, _ = _search(closers, m, t, n, r, budget, total_nodes, deadline, True)
+        found, nodes = _search(closers, m, t, n, r, budget, total_nodes, deadline)
         total_nodes += nodes
         if found is None:
             witness = Coloring(n=n, colors=previous, r=r - 1)

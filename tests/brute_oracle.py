@@ -1,9 +1,10 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately naive: solutions come from a raw cartesian
-product over summand tuples, and coloring searches iterate over every label
-map r^n instead of canonical forms.  Slow, but an uncorrelated check on the
-package's streaming enumeration and pruned search.
+product over summand tuples, and coloring searches either iterate over
+every label map r^n or walk every growth string and check it only once it
+is complete.  Slow, but an uncorrelated check on the package's streaming
+enumeration and pruned search; nothing here imports the package.
 """
 
 from functools import lru_cache
@@ -42,6 +43,36 @@ def canonical_tuple(labels):
             ids[lab] = len(ids) + 1
         out.append(ids[lab])
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def growth_strings(n):
+    """Every coloring of [1, n] up to renaming, as a restricted growth
+    string, in lexicographic order: each entry is at most one more than the
+    largest before it."""
+    strings = [()]
+    for _ in range(n):
+        strings = [s + (c,) for s in strings for c in range(1, max(s, default=0) + 2)]
+    return tuple(strings)
+
+
+@lru_cache(maxsize=None)
+def _leaves(n, r):
+    return tuple(s for s in growth_strings(n) if max(s) == r)
+
+
+def brute_scan(m, t, n, r):
+    """The unpruned reference for the search kernel: walks the growth
+    strings of [1, n] in lexicographic order and checks each one with
+    exactly r colors, a leaf, with brute_has_t_colored.
+
+    Returns (the least leaf with no t-colored solution or None, the number
+    of leaves), which should be S(n, r): every partition of [1, n] into r
+    classes, once.
+    """
+    leaves = _leaves(n, r)
+    witness = next((s for s in leaves if not brute_has_t_colored(s, m, t)), None)
+    return witness, len(leaves)
 
 
 def brute_least_counterexample(m, t, n, r):

@@ -276,6 +276,15 @@ class TestCheck:
         assert code == 65
         assert "parse error" in err
 
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe1 2\n")
+        code, out, err = run(capsys, "check", "--m", "4", str(path))
+        assert (code, out) == (65, "")
+        assert err == (
+            f"rschur: parse error: {path} is not UTF-8 text (invalid start byte at byte 0)\n"
+        )
+
     def test_missing_file(self, capsys, tmp_path):
         path = str(tmp_path / "absent")
         code, _, err = run(capsys, "check", "--m", "4", path)

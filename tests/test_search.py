@@ -1,4 +1,5 @@
-"""Exhaustive-search oracle: verdicts, witnesses, budgets, and engine modes."""
+"""Exhaustive-search oracle: verdicts, witnesses and budgets, checked
+against the unpruned growth-string reference in brute_oracle."""
 
 import os
 import subprocess
@@ -14,7 +15,9 @@ import rschur.search as search_module
 from brute_oracle import (
     brute_has_t_colored,
     brute_least_counterexample,
+    brute_scan,
     canonical_tuple,
+    growth_strings,
     stirling2,
 )
 from rschur import (
@@ -42,9 +45,8 @@ class TestVerdicts:
         assert v.outcome is Outcome.ALL_GOOD
         assert v.witness is None
         assert v.nodes_explored == 0
-        lazy = all_colorings_good(3, 3, 4, 4, eager_prune=False)
-        assert lazy.outcome is Outcome.ALL_GOOD
-        assert lazy.nodes_explored > 0
+        # without pruning the one exact 4-coloring is reached and checked
+        assert brute_scan(3, 3, 4, 4) == (None, 1)
 
     def test_counterexample_at_three_colors(self):
         v = all_colorings_good(3, 3, 4, 3)
@@ -100,39 +102,23 @@ class TestAgainstBruteForce:
 
 
 class TestEngineModes:
-    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
-    def test_leaf_count_is_partition_count(self, r):
-        # with pruning off, every exact-r coloring of [1, 6] is reached
-        v = all_colorings_good(3, 2, 6, r, eager_prune=False)
-        assert v.outcome is Outcome.ALL_GOOD
-        assert v.leaves == stirling2(6, r)
-
-    def test_leaf_count_larger_instance(self):
-        v = all_colorings_good(3, 2, 7, 3, eager_prune=False)
-        assert v.leaves == stirling2(7, 3) == 301
-
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_pruning_agrees_with_the_leaf_check(self, m):
-        # eager_prune=False tests every solution at the leaves only and
-        # applies neither the admissible-color masks nor the capacity rule,
-        # so it checks both: a rule that prunes too much loses
-        # counterexamples, one that forbids too little reports colorings
-        # that are none
+        # the reference checks every solution at the leaves only and shares
+        # no code with the kernel, so it checks every rule: one that prunes
+        # too much loses counterexamples, one that forbids too little
+        # reports colorings that are none
         for t in range(2, m + 1):
             for n in range(1, 11):
                 for r in range(1, n + 1):
-                    eager = all_colorings_good(m, t, n, r)
-                    lazy = all_colorings_good(m, t, n, r, eager_prune=False)
-                    assert eager.outcome is lazy.outcome, (m, t, n, r)
-                    assert eager.witness == lazy.witness, (m, t, n, r)
-                    assert eager.leaves <= lazy.leaves, (m, t, n, r)
-
-    def test_pruning_only_saves_work(self):
-        lazy = all_colorings_good(3, 3, 9, 4, eager_prune=False)
-        eager = all_colorings_good(3, 3, 9, 4)
-        assert lazy.outcome is eager.outcome
-        assert lazy.witness == eager.witness
-        assert eager.nodes_explored <= lazy.nodes_explored
+                    witness, leaves = brute_scan(m, t, n, r)
+                    assert leaves == stirling2(n, r), (n, r)
+                    v = all_colorings_good(m, t, n, r)
+                    assert (v.witness and v.witness.colors) == witness, (m, t, n, r)
+                    expected = Outcome.ALL_GOOD if witness is None else Outcome.COUNTEREXAMPLE
+                    assert v.outcome is expected, (m, t, n, r)
+                    # the first complete coloring reached ends the scan
+                    assert v.leaves == (v.outcome is Outcome.COUNTEREXAMPLE), (m, t, n, r)
 
     def test_index_built_once_per_call(self, monkeypatch):
         calls = []
@@ -152,8 +138,7 @@ class TestEngineModes:
         all_colorings_good(3, 3, 9, 4, SearchBudget(threads=2))
         assert calls == [(3, 3, 9)]
 
-    @pytest.mark.parametrize("eager_prune", [True, False])
-    def test_no_index_below_t_colors(self, monkeypatch, eager_prune):
+    def test_no_index_below_t_colors(self, monkeypatch):
         # with r < t colors no solution can show t colors, so the index
         # changes nothing: same witness, nodes and leaves as a scan with it
         calls = []
@@ -165,13 +150,13 @@ class TestEngineModes:
 
         monkeypatch.setattr(search_module, "_closers", spy)
         for m, t, n, r in [(4, 3, 16, 2), (5, 5, 9, 4), (6, 4, 8, 3), (3, 3, 1, 1)]:
-            v = all_colorings_good(m, t, n, r, eager_prune=eager_prune)
+            v = all_colorings_good(m, t, n, r)
             assert calls == []
-            found, nodes, leaves = search_module._search(
-                build(m, t, n, None), m, t, n, r, SearchBudget(), 0, None, eager_prune
+            found, nodes = search_module._search(
+                build(m, t, n, None), m, t, n, r, SearchBudget(), 0, None
             )
             assert v.outcome is Outcome.COUNTEREXAMPLE
-            assert (v.witness.colors, v.nodes_explored, v.leaves) == (found, nodes, leaves)
+            assert (v.witness.colors, v.nodes_explored, v.leaves) == (found, nodes, 1)
 
     def test_import_leaves_the_process_pool_unloaded(self):
         # threads is accepted but starts no worker processes
@@ -222,10 +207,10 @@ class TestBudgets:
         assert all(isinstance(c, int) for c in exc.frontier)
 
     def test_time_limit_raises(self):
-        with pytest.raises(BudgetExceeded):
-            all_colorings_good(
-                3, 2, 16, 8, SearchBudget(time_limit=1e-6), eager_prune=False
-            )
+        # the scan takes 9 nodes; the clock is read on the first
+        with pytest.raises(BudgetExceeded) as info:
+            all_colorings_good(3, 2, 16, 8, SearchBudget(time_limit=1e-6))
+        assert (info.value.nodes, info.value.frontier) == (1, (1,))
 
     def test_time_limit_bounds_the_whole_call(self):
         # the scan takes 2,366,922 nodes, about 5.5 s on two cores; the limit
@@ -300,13 +285,14 @@ class TestBudgets:
         assert instances == 183
 
     def test_budget_propagates(self):
-        # the budget runs out below depth 8, and the exception carries the
-        # node count and the frontier of the position loop at that node
-        budget = SearchBudget(max_nodes=5266)
+        # the scan takes 8,177 nodes and the budget runs out below depth 8;
+        # the exception carries the node count and the frontier of the
+        # position loop at that node
+        budget = SearchBudget(max_nodes=2725)
         with pytest.raises(BudgetExceeded) as info:
-            all_colorings_good(3, 2, 12, 6, budget, eager_prune=False)
-        assert info.value.nodes == 5267
-        assert len(info.value.frontier) > 8
+            all_colorings_good(5, 5, 40, 30, budget)
+        assert info.value.nodes == 2726
+        assert info.value.frontier == (1, 1, 2, 1, 2, 1, 2, 1, 2, 2, 1)
 
     def test_budget_validation(self):
         with pytest.raises(DomainError):
@@ -390,8 +376,8 @@ class TestNodeCounts:
 
     @pytest.mark.parametrize("m,t,total", _SMALL_TOTALS)
     def test_small_instances_node_totals(self, m, t, total):
-        # TestEngineModes checks the verdicts against the leaf check; this
-        # pins the work the full kernel spends reaching them
+        # TestEngineModes checks the verdicts against the brute reference;
+        # this pins the work the kernel spends reaching them
         nodes = sum(
             all_colorings_good(m, t, n, r).nodes_explored
             for n in range(1, 12)
@@ -464,15 +450,6 @@ class TestDoublingLemma:
         assert all(q == 2 * p for p, q in zip(firsts, firsts[1:]))
 
 
-def _growth_strings(n):
-    """Every coloring of [1, n] up to renaming, as a restricted growth
-    string: each entry is at most one more than the largest before it."""
-    strings = [()]
-    for _ in range(n):
-        strings = [s + (c,) for s in strings for c in range(1, max(s, default=0) + 2)]
-    return strings
-
-
 class TestLookaheadLemma:
     """The lemma behind the kernel's look-ahead rule, checked with the brute
     oracle alone: in a coloring of [1, n] with no t-colored E_m solution and
@@ -487,7 +464,7 @@ class TestLookaheadLemma:
         for m in range(4, 7):
             for t in range(3, m + 1):
                 for n in range(1, 9):
-                    for coloring in _growth_strings(n):
+                    for coloring in growth_strings(n):
                         if brute_has_t_colored(coloring, m, t):
                             continue
                         firsts = _first_occurrences(coloring)
