@@ -138,9 +138,12 @@ class TestEngineModes:
         all_colorings_good(3, 3, 9, 4, SearchBudget(threads=2))
         assert calls == [(3, 3, 9)]
 
-    def test_no_index_below_t_colors(self, monkeypatch):
+    @pytest.mark.parametrize("timed", [True, False])
+    def test_no_index_below_t_colors(self, monkeypatch, timed):
         # with r < t colors no solution can show t colors, so the index
-        # changes nothing: same witness, nodes and leaves as a scan with it
+        # changes nothing: same witness, nodes and leaves as a scan with it,
+        # with or without a deadline to check along the way
+        budget = SearchBudget(time_limit=600.0) if timed else SearchBudget()
         calls = []
         build = search_module._closers
 
@@ -150,7 +153,7 @@ class TestEngineModes:
 
         monkeypatch.setattr(search_module, "_closers", spy)
         for m, t, n, r in [(4, 3, 16, 2), (5, 5, 9, 4), (6, 4, 8, 3), (3, 3, 1, 1)]:
-            v = all_colorings_good(m, t, n, r)
+            v = all_colorings_good(m, t, n, r, budget)
             assert calls == []
             found, nodes = search_module._search(
                 build(m, t, n, None), m, t, n, r, SearchBudget(), 0, None
