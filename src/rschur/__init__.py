@@ -36,7 +36,7 @@ from .errors import (
     RainbowSchurError,
 )
 from .formulas import (
-    ProblemParams,
+    check_params,
     formula_description,
     formula_value,
     min_n_rainbow,
@@ -64,13 +64,13 @@ __all__ = [
     "DomainError",
     "EmptyInput",
     "Outcome",
-    "ProblemParams",
     "RainbowSchurError",
     "SchurSolution",
     "SearchBudget",
     "Verdict",
     "all_colorings_good",
     "canonicalize",
+    "check_params",
     "coloring_from_json",
     "coloring_from_text",
     "coloring_to_json",

@@ -24,7 +24,7 @@ from .colorings import (
 )
 from .equations import enumerate_solutions
 from .errors import BudgetExceeded, ColoringParseError, DomainError
-from .formulas import ProblemParams, formula_description, formula_value
+from .formulas import check_params, formula_description, formula_value
 from .search import DEFAULT_MAX_NODES, SearchBudget, search_rs
 
 EXIT_OK = 0
@@ -61,24 +61,20 @@ def _write(path: str, text: str) -> bool:
 
 
 def cmd_formula(args) -> int:
-    t = args.t if args.t is not None else args.m
-    ProblemParams(args.m, t, args.n)
-    print(f"{_rs_name(args.m, t)}({args.n}) = {formula_value(args.m, args.n, t)}")
+    print(f"{_rs_name(args.m, args.t)}({args.n}) = {formula_value(args.m, args.n, args.t)}")
     print("method: formula")
-    print(f"formula: {formula_description(args.m, t)}")
+    print(f"formula: {formula_description(args.m, args.t)}")
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
-    t = args.t if args.t is not None else args.m
-    ProblemParams(args.m, t, args.n)
     budget = SearchBudget(args.max_nodes, args.time_limit, args.threads)
-    result = search_rs(args.m, t, args.n, budget)
-    name = _rs_name(args.m, t)
+    result = search_rs(args.m, args.t, args.n, budget)
+    name = _rs_name(args.m, args.t)
     if result.value is None:
         print(
             f"{name}({args.n}) is undefined: no solution of E_{args.m} in "
-            f"[1, {args.n}] can show {t} distinct colors"
+            f"[1, {args.n}] can show {args.t} distinct colors"
         )
         return EXIT_OK
     print(f"{name}({args.n}) = {result.value}")
@@ -96,8 +92,6 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    t = args.t if args.t is not None else args.m
-    ProblemParams(args.m, t, max(args.n_from, 1))
     if args.n_from < 1 or args.n_from > args.n_to:
         print(
             f"rschur verify: error: need 1 <= --n-from <= --n-to, "
@@ -111,14 +105,14 @@ def cmd_verify(args) -> int:
     any_skipped = False
     for n in range(args.n_from, args.n_to + 1):
         try:
-            fvalue = formula_value(args.m, n, t)
+            fvalue = formula_value(args.m, n, args.t)
         except DomainError:
             fvalue = None
         started = time.monotonic()
         nodes = 0
         svalue = None
         try:
-            result = search_rs(args.m, t, n, budget)
+            result = search_rs(args.m, args.t, n, budget)
             svalue = result.value
             nodes = result.nodes
         except BudgetExceeded as exc:
@@ -130,7 +124,7 @@ def cmd_verify(args) -> int:
         rows.append(
             {
                 "m": args.m,
-                "t": t,
+                "t": args.t,
                 "n": n,
                 "formula": fvalue,
                 "search": svalue,
@@ -185,15 +179,13 @@ def _class_summary(coloring) -> str:
 
 
 def cmd_construct(args) -> int:
-    t = args.t if args.t is not None else args.m
-    ProblemParams(args.m, t, args.n)
-    coloring = construct_weak_lower(t, args.m, args.n)
-    target = formula_value(args.m, args.n, t)
-    found, witness = has_t_colored_solution(coloring, args.m, t)
+    coloring = construct_weak_lower(args.t, args.m, args.n)
+    target = formula_value(args.m, args.n, args.t)
+    found, witness = has_t_colored_solution(coloring, args.m, args.t)
     if found:
         print(
             f"self-check failed: constructed coloring contains {witness} "
-            f"with >= {t} colors",
+            f"with >= {args.t} colors",
             file=sys.stderr,
         )
         return EXIT_PROPERTY_FALSE
@@ -201,8 +193,8 @@ def cmd_construct(args) -> int:
     summary = [
         f"n: {coloring.n}",
         f"classes: {_class_summary(coloring)}",
-        f"colors used: {coloring.r} (one below {_rs_name(args.m, t)}({args.n}) = {target})",
-        f"self-check: no solution shows >= {t} distinct colors",
+        f"colors used: {coloring.r} (one below {_rs_name(args.m, args.t)}({args.n}) = {target})",
+        f"self-check: no solution shows >= {args.t} distinct colors",
     ]
     if args.out:
         if not _write(args.out, document + "\n"):
@@ -216,8 +208,6 @@ def cmd_construct(args) -> int:
 
 
 def cmd_check(args) -> int:
-    t = args.t if args.t is not None else args.m
-    ProblemParams(args.m, t, 1)
     try:
         with open(args.coloring, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -234,10 +224,10 @@ def cmd_check(args) -> int:
     print(f"colors used: {coloring.r}")
     print(f"surplus integers: {surplus_count(coloring)}")
     print(f"max colors over solutions: {maximum}")
-    if maximum >= t:
-        print(f"witness with >= {t} colors: {witness}")
+    if maximum >= args.t:
+        print(f"witness with >= {args.t} colors: {witness}")
         return EXIT_OK
-    print(f"no solution shows >= {t} distinct colors")
+    print(f"no solution shows >= {args.t} distinct colors")
     return EXIT_PROPERTY_FALSE
 
 
@@ -343,7 +333,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if "t" in args:
+            args.t = check_params(args.m, args.t)
         return args.func(args)
+    except RecursionError:
+        print(
+            f"rschur: domain error: m = {args.m} is too large: the solution walk "
+            f"recurses m - 1 deep, past Python's limit of {sys.getrecursionlimit()}",
+            file=sys.stderr,
+        )
+        return EXIT_DOMAIN
     except ColoringParseError as exc:
         print(f"rschur: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .equations import SchurSolution, enumerate_solutions
 from .errors import ColoringParseError, DomainError, EmptyInput
-from .formulas import rs_weak_formula
+from .formulas import check_params, rs_weak_formula
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,7 @@ def max_solution_colors(c: Coloring, m: int) -> tuple[int, SchurSolution | None]
     to attain the maximum.  Repeated values share a color, so a solution's
     color count is the number of distinct colors over its value set.
     """
-    if m < 3:
-        raise DomainError(f"m must be at least 3, got {m}")
+    check_params(m)
     colors = c.colors
     best = 0
     witness = None
@@ -199,8 +198,8 @@ def has_t_colored_solution(
     cannot reach t colors are cut, so the answer and the witness are those
     of the full solution scan.
     """
-    if m < 3:
-        raise DomainError(f"m must be at least 3, got {m}")
+    check_params(m)
+    # wider than the instance domain: t = 1 asks only for some solution
     if not 1 <= t <= m:
         raise DomainError(f"t must lie in [1, m] = [1, {m}], got {t}")
     parts = m - 1

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded
+from .formulas import check_params
 
 DEFAULT_INDEX_CAP = 10**7
 
@@ -63,10 +64,7 @@ def enumerate_solutions(m: int, n: int, distinct: bool = False) -> Iterator[Schu
     those are exactly the solutions with m pairwise distinct values, the only
     ones that can ever be rainbow.
     """
-    if m < 3:
-        raise DomainError(f"m must be at least 3, got {m}")
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
+    check_params(m, n=n)
     parts = m - 1
     step = 1 if distinct else 0
     least_total = parts * (parts + 1) // 2 if distinct else parts

@@ -28,7 +28,3 @@ class BudgetExceeded(RainbowSchurError, RuntimeError):
         super().__init__(message)
         self.nodes = nodes
         self.frontier = tuple(frontier)
-
-    def __reduce__(self):
-        # keep the extra attributes when crossing process boundaries
-        return (type(self), (self.args[0], self.nodes, self.frontier))

@@ -11,8 +11,6 @@ integer division and the base-2 logarithm with bit lengths, never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 
 
@@ -21,36 +19,31 @@ def _ceil_div(a: int, b: int) -> int:
     return (a + b - 1) // b
 
 
-@dataclass(frozen=True)
-class ProblemParams:
-    """One instance: equation size m, color target t, interval [1, n].
+def check_params(m: int, t: int | None = None, n: int = 1) -> int:
+    """Check an instance against the paper's domain and return its t.
 
-    t = m asks for rainbow solutions; t < m asks for solutions showing at
-    least t distinct colors (summands may then repeat).
+    The instance is E_m with color target t on [1, n]: m >= 3, 2 <= t <= m
+    and n >= 1, where t defaults to m, the rainbow case.  t < m asks for
+    solutions showing at least t distinct colors (summands may then repeat).
+    Raises DomainError on the first rule broken.
     """
-
-    m: int
-    t: int
-    n: int
-
-    def __post_init__(self):
-        if self.m < 3:
-            raise DomainError(f"m must be at least 3, got {self.m}")
-        if not 2 <= self.t <= self.m:
-            raise DomainError(f"t must lie in [2, m] = [2, {self.m}], got {self.t}")
-        if self.n < 1:
-            raise DomainError(f"n must be at least 1, got {self.n}")
+    if m < 3:
+        raise DomainError(f"m must be at least 3, got {m}")
+    t = t if t is not None else m
+    if not 2 <= t <= m:
+        raise DomainError(f"t must lie in [2, m] = [2, {m}], got {t}")
+    if n < 1:
+        raise DomainError(f"n must be at least 1, got {n}")
+    return t
 
 
 def min_n_rainbow(m: int) -> int:
     """Least n for which E_m has a solution with pairwise distinct values.
 
     That solution is 1 + 2 + ... + (m-1) = m(m-1)/2, so any smaller interval
-    admits no rainbow solution at all.
+    admits no rainbow solution at all.  It is min_n_weak at t = m.
     """
-    if m < 3:
-        raise DomainError(f"m must be at least 3, got {m}")
-    return m * (m - 1) // 2
+    return min_n_weak(m, m)
 
 
 def min_n_weak(t: int, m: int) -> int:
@@ -59,21 +52,17 @@ def min_n_weak(t: int, m: int) -> int:
     Attained by m - t + 1 ones followed by 2, 3, ..., t - 1, which sums to
     t(t-1)/2 + m - t.  Coincides with min_n_rainbow at t = m.
     """
-    if m < 3:
-        raise DomainError(f"m must be at least 3, got {m}")
-    if not 2 <= t <= m:
-        raise DomainError(f"t must lie in [2, m] = [2, {m}], got {t}")
+    check_params(m, t)
     return t * (t - 1) // 2 + m - t
 
 
 def rs3_formula(n: int) -> int:
     """RS_3(n) = floor(log2(n)) + 2 for n >= 3.
 
-    floor(log2(n)) is n.bit_length() - 1, exact for any size of n.
+    floor(log2(n)) is n.bit_length() - 1, exact for any size of n.  The
+    weak case at t = m = 3.
     """
-    if n < 3:
-        raise DomainError(f"n must be at least 3, got {n}")
-    return n.bit_length() + 1
+    return rs_weak_formula(3, 3, n)
 
 
 def rs_formula(m: int, n: int) -> int:
@@ -89,7 +78,7 @@ def rs_weak_formula(t: int, m: int, n: int) -> int:
     """RS_{t,m}(n) in closed form, for every m >= 3, 2 <= t <= m and
     n >= min_n_weak(t, m); below that n the value is undefined.
 
-    - t = m = 3: rs3_formula(n).
+    - t = m = 3: floor(log2(n)) + 2, as n.bit_length() + 1.
     - 3 <= t <= m, m >= 4: ceil(((t-3)n + t(t-1)/2 + m - t) / (t-2)), which
       reduces to m at t = 3 and to the rainbow value RS_m(n) at t = m.
     - t = 2: max(2, 2m - 2 - n), the constant 2 from n = 2m - 4 on.
@@ -118,7 +107,7 @@ def _ceil_form(t: int, m: int, n: int) -> int:
 # statement).  rs_weak_formula and formula_description both take the first
 # row that applies, so the value and its statement cannot disagree.
 _CASES = (
-    (lambda m, t: t == m == 3, lambda t, m, n: rs3_formula(n), "floor(log2(n)) + 2"),
+    (lambda m, t: t == m == 3, lambda t, m, n: n.bit_length() + 1, "floor(log2(n)) + 2"),
     (lambda m, t: t == 2, lambda t, m, n: max(2, 2 * m - 2 - n), "max(2, 2m - 2 - n)"),
     (lambda m, t: t == m, _ceil_form, "ceil(((m - 3)*n + m*(m - 1)/2) / (m - 2))"),
     (lambda m, t: True, _ceil_form, "ceil(((t - 3)*n + t*(t - 1)/2 + m - t) / (t - 2))"),
@@ -131,11 +120,9 @@ def _case(m: int, t: int):
 
 def formula_value(m: int, n: int, t: int | None = None) -> int:
     """Front door for all closed forms; t defaults to m (the rainbow case)."""
-    return rs_weak_formula(m if t is None else t, m, n)
+    return rs_weak_formula(check_params(m, t), m, n)
 
 
 def formula_description(m: int, t: int | None = None) -> str:
     """Human-readable statement of the closed form formula_value would use."""
-    if t is None:
-        t = m
-    return _case(m, t)[2]
+    return _case(m, check_params(m, t))[2]

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from .colorings import Coloring
 from .equations import DEFAULT_INDEX_CAP
 from .errors import BudgetExceeded, DomainError
-from .formulas import ProblemParams, min_n_weak
+from .formulas import check_params, min_n_weak
 
 DEFAULT_MAX_NODES = 10**8
 Closers = list[list[tuple[tuple[int, ...], int]]]
@@ -329,7 +329,7 @@ def all_colorings_good(
     solution is returned as a counterexample.  Raises BudgetExceeded rather
     than ever returning a verdict from a partial scan.
     """
-    ProblemParams(m, t, n)
+    check_params(m, t, n)
     if not 1 <= r <= n:
         raise DomainError(f"r must lie in [1, n] = [1, {n}], got {r}")
     budget = budget or SearchBudget()
@@ -359,7 +359,7 @@ def search_rs(m: int, t: int, n: int, budget: SearchBudget | None = None) -> Com
     earlier ones left, and BudgetExceeded carries the node count summed over
     every r.
     """
-    ProblemParams(m, t, n)
+    check_params(m, t, n)
     budget = budget or SearchBudget()
     start = time.monotonic()
     if n < min_n_weak(t, m):

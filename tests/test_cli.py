@@ -53,6 +53,40 @@ class TestFormula:
         assert code == 2
 
 
+class TestDomain:
+    @pytest.mark.parametrize("command", ["formula", "search", "verify", "construct", "check"])
+    def test_t_above_m_is_one_line(self, capsys, tmp_path, command):
+        path = tmp_path / "c.txt"
+        path.write_text("1 2 3 4 5 6\n")
+        rest = {"verify": ["--n-from", "6", "--n-to", "8"], "check": [str(path)]}
+        argv = [command, "--m", "4", "--t", "5", *rest.get(command, ["--n", "6"])]
+        assert run(capsys, *argv) == (
+            2, "", "rschur: domain error: t must lie in [2, m] = [2, 4], got 5\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solutions", "--m", "1200", "--n", "1200"],
+            ["check", "--m", "1200", "ONES"],
+            ["search", "--m", "1200", "--t", "2", "--n", "1200"],
+        ],
+    )
+    def test_recursion_past_the_limit_is_one_line(self, capsys, tmp_path, argv):
+        # the summand walks recurse m - 1 deep
+        path = tmp_path / "ones.txt"
+        path.write_text("1 " * 1200)
+        code, out, err = run(capsys, *[str(path) if a == "ONES" else a for a in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("rschur: domain error: m = 1200 is too large")
+        assert err.count("\n") == 1
+
+    def test_formula_has_no_cap_on_m(self, capsys):
+        code, out, _ = run(capsys, "formula", "--m", "1200", "--n", "719400")
+        assert code == 0
+        assert "RS_1200(719400) = 719400" in out
+
+
 class TestUsage:
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "formula", "--m", "4")[0] == 64

@@ -6,13 +6,24 @@ import pytest
 
 from rschur import (
     DomainError,
-    ProblemParams,
+    all_colorings_good,
+    canonicalize,
+    check_params,
+    construct_rainbow_lower,
+    construct_weak_lower,
+    count_solutions,
+    enumerate_solutions,
+    formula_description,
     formula_value,
+    has_t_colored_solution,
+    index_solutions_by_total,
+    max_solution_colors,
     min_n_rainbow,
     min_n_weak,
     rs3_formula,
     rs_formula,
     rs_weak_formula,
+    search_rs,
 )
 
 
@@ -154,13 +165,18 @@ class TestFrontDoor:
 
 
 class TestProblemParams:
+    """check_params, the one statement of the instance domain."""
+
     def test_valid(self):
-        p = ProblemParams(m=5, t=5, n=12)
-        assert (p.m, p.t, p.n) == (5, 5, 12)
+        assert check_params(5, 5, 12) == 5
+
+    def test_t_defaults_to_m(self):
+        assert check_params(5) == 5
+        assert check_params(6, n=4) == 6
 
     def test_weak_domain(self):
         # any n >= 1 is an instance; the value is defined from min_n_weak on
-        ProblemParams(m=6, t=2, n=4)
+        assert check_params(6, 2, 4) == 2
         assert formula_value(6, 5, t=2) == 5
         with pytest.raises(DomainError):
             formula_value(6, 4, t=2)
@@ -168,4 +184,43 @@ class TestProblemParams:
     @pytest.mark.parametrize("m,t,n", [(2, 2, 5), (4, 1, 5), (4, 5, 5), (4, 4, 0)])
     def test_invalid(self, m, t, n):
         with pytest.raises(DomainError):
-            ProblemParams(m=m, t=t, n=n)
+            check_params(m, t, n)
+
+
+_ONES = canonicalize([1] * 20)
+
+# every public function that takes m and t, called as f(m, t) on [1, 20]
+_TAKES_M_AND_T = {
+    "check_params": lambda m, t: check_params(m, t, 20),
+    "min_n_weak": lambda m, t: min_n_weak(t, m),
+    "rs_weak_formula": lambda m, t: rs_weak_formula(t, m, 20),
+    "formula_value": lambda m, t: formula_value(m, 20, t),
+    "formula_description": lambda m, t: formula_description(m, t),
+    "has_t_colored_solution": lambda m, t: has_t_colored_solution(_ONES, m, t),
+    "construct_weak_lower": lambda m, t: construct_weak_lower(t, m, 20),
+    "all_colorings_good": lambda m, t: all_colorings_good(m, t, 20, 3),
+    "search_rs": lambda m, t: search_rs(m, t, 20),
+}
+# and every one that takes m, those without t ignoring it
+_TAKES_M = {
+    **_TAKES_M_AND_T,
+    "min_n_rainbow": lambda m, t: min_n_rainbow(m),
+    "rs_formula": lambda m, t: rs_formula(m, 20),
+    "enumerate_solutions": lambda m, t: list(enumerate_solutions(m, 20)),
+    "count_solutions": lambda m, t: count_solutions(m, 20),
+    "index_solutions_by_total": lambda m, t: index_solutions_by_total(m, 20),
+    "max_solution_colors": lambda m, t: max_solution_colors(_ONES, m),
+    "construct_rainbow_lower": lambda m, t: construct_rainbow_lower(m, 20),
+}
+
+
+class TestOneDomain:
+    @pytest.mark.parametrize("name", sorted(_TAKES_M))
+    def test_rejects_m_below_3(self, name):
+        with pytest.raises(DomainError, match="m must be at least 3, got 2"):
+            _TAKES_M[name](2, 2)
+
+    @pytest.mark.parametrize("name", sorted(_TAKES_M_AND_T))
+    def test_rejects_t_above_m(self, name):
+        with pytest.raises(DomainError, match=r"t must lie in \[\d, m\] = \[\d, 4\], got 5"):
+            _TAKES_M_AND_T[name](4, 5)
