@@ -25,6 +25,9 @@ from .equations import SchurSolution, enumerate_solutions
 from .errors import ColoringParseError, DomainError, EmptyInput
 from .formulas import check_params, rs_weak_formula
 
+# keys has_t_colored_solution stores at most per scan, about 154 B each
+SCAN_MEMO_CAP = 1 << 18
+
 
 @dataclass(frozen=True)
 class Coloring:
@@ -136,19 +139,22 @@ def max_solution_colors(c: Coloring, m: int) -> tuple[int, SchurSolution | None]
 def _t_colored_tail(
     bits: list[int],
     rows: list[list[int] | None],
+    failed: set[tuple[int, ...]],
     mask: int,
     room: int,
     j: int,
     lo: int,
     step: int,
     t: int,
+    parts: int,
 ) -> tuple[int, ...] | None:
     """Lexicographically first j summands, each at least `lo` and `step`
     above the one before, that sum to `room` and bring the colors in `mask`
     to at least t; None when there are none.
 
     bits[x] is the color bit of x.  rows[v], built on first use, holds at
-    index x - v the colors of [v, x].
+    index x - v the colors of [v, x].  failed holds the keys of refuted
+    subproblems, as has_t_colored_solution describes.
     """
     if j == 1:
         # the caller's loop bound keeps room >= lo
@@ -158,6 +164,14 @@ def _t_colored_tail(
     need = t - mask.bit_count()
     if need > j:
         return None
+    key = None
+    if j < parts - 1:
+        row = rows[lo]
+        if row is None:
+            row = rows[lo] = list(accumulate(bits[lo:], or_))
+        key = (mask & row[room - lo], need, room, j, lo)
+        if key in failed:
+            return None
     # the other j - 1 summands take at least (j - 1) * v + top_rest, so every
     # one of the j summands lies in [v, room - (j - 1) * v - top_rest]
     top_rest = step * (j - 1) * (j - 2) // 2
@@ -165,18 +179,23 @@ def _t_colored_tail(
     while True:
         hi = room - (j - 1) * v - top_rest
         if hi < v + step * (j - 1):
-            return None
+            break
         if need > 0:
             row = rows[v]
             if row is None:
                 row = rows[v] = list(accumulate(bits[v:], or_))
             # [v, hi] only shrinks as v grows, so no later v can pass either
             if min(j, (row[hi - v] & ~mask).bit_count()) < need:
-                return None
-        tail = _t_colored_tail(bits, rows, mask | bits[v], room - v, j - 1, v + step, step, t)
+                break
+        tail = _t_colored_tail(
+            bits, rows, failed, mask | bits[v], room - v, j - 1, v + step, step, t, parts
+        )
         if tail is not None:
             return (v,) + tail
         v += 1
+    if key is not None and len(failed) < SCAN_MEMO_CAP:
+        failed.add(key)
+    return None
 
 
 def has_t_colored_solution(
@@ -197,6 +216,14 @@ def has_t_colored_solution(
     min(j, new colors in [v, hi]), fall short of t.  Only branches that
     cannot reach t colors are cut, so the answer and the witness are those
     of the full solution scan.
+
+    A refuted subproblem is stored, for all totals, under (mask & R, need,
+    room, j, lo), with R the colors of [lo, room], where every summand left
+    lies, and need = t - |mask|: colors outside R count only through need,
+    so one key has one answer.  Only refutations are stored, so a hit skips
+    a walk that finds nothing, and the answer and witness are unchanged.
+    Keys recur only for 1 < j < parts - 1; past SCAN_MEMO_CAP keys the set
+    is only read.
     """
     check_params(m)
     # wider than the instance domain: t = 1 asks only for some solution
@@ -206,8 +233,9 @@ def has_t_colored_solution(
     step = 1 if t == m else 0
     bits = [0] + [1 << col for col in c.colors]
     rows: list[list[int] | None] = [None] * (c.n + 1)
+    failed: set[tuple[int, ...]] = set()
     for total in range(parts + step * parts * (parts - 1) // 2, c.n + 1):
-        terms = _t_colored_tail(bits, rows, bits[total], total, parts, 1, step, t)
+        terms = _t_colored_tail(bits, rows, failed, bits[total], total, parts, 1, step, t, parts)
         if terms is not None:
             return True, SchurSolution(terms, total)
     return False, None

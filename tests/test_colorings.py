@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import pytest
 
+import rschur.colorings as colorings_module
 from brute_oracle import brute_has_t_colored
 from rschur import (
     Coloring,
@@ -210,6 +211,93 @@ class TestBoundedScan:
                     got = has_t_colored_solution(split, m, t)
                     assert got[0], (t, m, n, x)
                     assert got == first_matches(split, m)[t], (t, m, n, x)
+
+
+def construction_family(m, top, vary, rng):
+    """Every weak and rainbow construction for this m with n <= top, each
+    passed through vary(c, rng), which may return None to skip it."""
+    for t in range(2, m + 1):
+        for n in range(min_n_weak(t, m), top + 1):
+            c = vary(construct_weak_lower(t, m, n), rng)
+            if c is not None:
+                yield c
+
+
+def split_block(c, rng):
+    x = rng.choice(c.classes()[0])
+    return canonicalize([c.r + 1 if y == x else col for y, col in enumerate(c.colors, 1)])
+
+
+def merge_two(c, rng):
+    return merge_classes(c, *rng.sample(range(1, c.r + 1), 2)) if c.r >= 2 else None
+
+
+class TestScanMemo:
+    """The failure set of has_t_colored_solution skips only subproblems it
+    has already refuted, so the scan with the set disabled (cap 0) gives the
+    same (found, witness), and the set cuts the recursive calls."""
+
+    @staticmethod
+    def assert_memo_free_agrees(monkeypatch, colorings, m):
+        cases = [(c, t) for c in colorings for t in range(1, m + 1)]
+        with_memo = [has_t_colored_solution(c, m, t) for c, t in cases]
+        monkeypatch.setattr(colorings_module, "SCAN_MEMO_CAP", 0)
+        for (c, t), got in zip(cases, with_memo):
+            assert has_t_colored_solution(c, m, t) == got, (c.colors, m, t)
+
+    # the split and merged variants stop at n = 45: up to n = 60 their
+    # memo-free scans take about 8 s
+    @pytest.mark.parametrize("m", range(4, 10))
+    @pytest.mark.parametrize(
+        "top, vary",
+        [(60, lambda c, rng: c), (45, split_block), (45, merge_two)],
+        ids=["plain", "split", "merged"],
+    )
+    def test_constructions(self, monkeypatch, m, top, vary):
+        family = list(construction_family(m, top, vary, random.Random(m)))
+        self.assert_memo_free_agrees(monkeypatch, family, m)
+
+    def test_random_block_plus_singletons(self, monkeypatch):
+        rng = random.Random(19)
+        # below m = 5 the scan keeps no set
+        by_m = {m: [] for m in range(5, 10)}
+        for _ in range(500):
+            n = rng.randint(10, 40)
+            head = rng.randint(1, n // 2)
+            labels = [0] * head + [
+                rng.randint(0, 6) if rng.random() < 0.2 else -x for x in range(head + 1, n + 1)
+            ]
+            by_m[rng.randint(5, 9)].append(canonicalize(labels))
+        for m, colorings in by_m.items():
+            with monkeypatch.context() as patch:
+                self.assert_memo_free_agrees(patch, colorings, m)
+
+    def test_call_counts(self, monkeypatch):
+        calls = 0
+        tail = colorings_module._t_colored_tail
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return tail(*args)
+
+        monkeypatch.setattr(colorings_module, "_t_colored_tail", counted)
+
+        def count(t, m, n):
+            nonlocal calls
+            calls = 0
+            assert has_t_colored_solution(construct_weak_lower(t, m, n), m, t) == (False, None)
+            return calls
+
+        # at cap 0 the scan makes the calls it made before the set existed
+        cases = {(4, 9, 60): 3376, (5, 9, 60): 3300, (4, 5, 60): 3122}
+        assert {key: count(*key) for key in cases} == cases
+        monkeypatch.setattr(colorings_module, "SCAN_MEMO_CAP", 0)
+        assert {key: count(*key) for key in cases} == {
+            (4, 9, 60): 33739,
+            (5, 9, 60): 27139,
+            (4, 5, 60): 7347,
+        }
 
 
 class TestMaxFromThresholdScans:
