@@ -10,8 +10,6 @@ oracle over canonical exact colorings, plus a command line front end.
 from .colorings import (
     Coloring,
     canonicalize,
-    coloring_from_json,
-    coloring_from_text,
     coloring_to_json,
     construct_rainbow_lower,
     construct_weak_lower,
@@ -71,8 +69,6 @@ __all__ = [
     "all_colorings_good",
     "canonicalize",
     "check_params",
-    "coloring_from_json",
-    "coloring_from_text",
     "coloring_to_json",
     "construct_rainbow_lower",
     "construct_weak_lower",

@@ -69,7 +69,9 @@ def cmd_formula(args) -> int:
 
 def cmd_search(args) -> int:
     budget = SearchBudget(args.max_nodes, args.time_limit, args.threads)
+    started = time.monotonic()
     result = search_rs(args.m, args.t, args.n, budget)
+    elapsed = time.monotonic() - started
     name = _rs_name(args.m, args.t)
     if result.value is None:
         print(
@@ -80,7 +82,7 @@ def cmd_search(args) -> int:
     print(f"{name}({args.n}) = {result.value}")
     print("method: search")
     print(f"nodes explored: {result.nodes}")
-    print(f"elapsed: {result.elapsed * 1000.0:.0f} ms")
+    print(f"elapsed: {elapsed * 1000.0:.0f} ms")
     witness = result.witness
     if witness is not None:
         print(f"witness with {witness.r} colors: {list(witness.colors)}")

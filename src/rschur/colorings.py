@@ -271,11 +271,7 @@ def construct_weak_lower(t: int, m: int, n: int) -> Coloring:
     if m == 3:
         return canonicalize([(x & -x).bit_length() for x in range(1, n + 1)])
     head = n + 2 - k
-    return Coloring(
-        n=n,
-        colors=tuple([1] * head + list(range(2, n - head + 2))),
-        r=n - head + 1,
-    )
+    return canonicalize([0] * head + list(range(head + 1, n + 1)))
 
 
 def merge_classes(c: Coloring, c1: int, c2: int) -> Coloring:
@@ -297,44 +293,31 @@ def coloring_to_json(c: Coloring) -> str:
     return json.dumps({"n": c.n, "colors": list(c.colors)}, sort_keys=True)
 
 
-def coloring_from_json(text: str) -> Coloring:
-    """Parse and canonicalize a {"n": ..., "colors": [...]} document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ColoringParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ColoringParseError("expected a JSON object with 'n' and 'colors'")
-    if "n" not in doc or "colors" not in doc:
-        raise ColoringParseError("missing required key 'n' or 'colors'")
-    n, labels = doc["n"], doc["colors"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ColoringParseError(f"'n' must be a positive integer, got {n!r}")
-    if not isinstance(labels, list) or len(labels) != n:
-        raise ColoringParseError(f"'colors' must be a list of exactly {n} labels")
+def parse_coloring(text: str) -> Coloring:
+    """Parse and canonicalize a {"n": ..., "colors": [...]} document, or one
+    whitespace-separated row of labels; labels must be positive integers."""
+    if text.lstrip().startswith("{"):
+        # a JSON text that opens with a brace is an object
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ColoringParseError(f"invalid JSON: {exc}") from exc
+        if "n" not in doc or "colors" not in doc:
+            raise ColoringParseError("missing required key 'n' or 'colors'")
+        n, labels = doc["n"], doc["colors"]
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ColoringParseError(f"'n' must be a positive integer, got {n!r}")
+        if not isinstance(labels, list) or len(labels) != n:
+            raise ColoringParseError(f"'colors' must be a list of exactly {n} labels")
+    else:
+        fields = text.split()
+        if not fields:
+            raise ColoringParseError("empty coloring text")
+        try:
+            labels = [int(f) for f in fields]
+        except ValueError as exc:
+            raise ColoringParseError(f"labels must be integers: {exc}") from exc
     for lab in labels:
         if not isinstance(lab, int) or isinstance(lab, bool) or lab < 1:
             raise ColoringParseError(f"color labels must be positive integers, got {lab!r}")
     return canonicalize(labels)
-
-
-def coloring_from_text(text: str) -> Coloring:
-    """Parse one whitespace-separated row of positive integer labels."""
-    fields = text.split()
-    if not fields:
-        raise ColoringParseError("empty coloring text")
-    try:
-        labels = [int(f) for f in fields]
-    except ValueError as exc:
-        raise ColoringParseError(f"labels must be integers: {exc}") from exc
-    for lab in labels:
-        if lab < 1:
-            raise ColoringParseError(f"color labels must be positive, got {lab}")
-    return canonicalize(labels)
-
-
-def parse_coloring(text: str) -> Coloring:
-    """Accept either the JSON document form or the plain-text row form."""
-    if text.lstrip().startswith("{"):
-        return coloring_from_json(text)
-    return coloring_from_text(text)

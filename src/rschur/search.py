@@ -94,7 +94,6 @@ class ComputedNumber:
     value: int | None
     witness: Coloring | None
     nodes: int
-    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -172,8 +171,9 @@ def _search(
     """Depth-first scan of every exact r-coloring of [1, n], in lexicographic
     order of growth strings, after `spent` nodes of the budget went to
     earlier scans of the same call.  The scan is one loop over positions:
-    the next color tried at x is colors[x] + 1, and backtracking into x
-    pops the trail of changes to allowed down to mark[x].
+    reaching x saves its state in saved[x], and backtracking into x
+    restores that record, pops the trail of changes to allowed back to the
+    length it saved, and tries colors from colors[x] + 1 on.
 
     Returns (witness, nodes).  A color is only placed where allowed admits
     it, so every complete coloring the scan reaches is a counterexample: the
@@ -188,13 +188,10 @@ def _search(
     # solution; y is open while it is -1
     allowed = [-1] * (n + 1)
     trail: list[tuple[int, int]] = []  # (y, old allowed[y]) along the path, for undo
-    # used, free and s0 on reaching x, for backtracking into it: colors in
-    # use, open positions in [x, n], and m - t plus the first positions of
-    # colors 1..min(used, t - 2); mark[x]: trail length before x's closings
-    used_at = [0] * (n + 1)
-    free_at = [n] * (n + 1)
-    s0_at = [m - t] * (n + 1)
-    mark = [0] * (n + 1)
+    # saved[x]: on reaching x, the colors in use, the open positions in
+    # [x, n], m - t plus the first positions of colors 1..min(used, t - 2),
+    # and the trail length, which x's closings later extend
+    saved: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)] * (n + 1)
     left = budget.max_nodes - spent
     nodes = 0
     doubling = m == t == 3
@@ -204,86 +201,80 @@ def _search(
     used = 0
     free = n
     s0 = m - t
-    reached = True  # x was just reached from x - 1, not backtracked into
-    while x:
-        cap = used + 1 if used < r else r
-        if reached:
-            used_at[x] = used
-            free_at[x] = free
-            s0_at[x] = s0
-            need = r - used
-            # each missing color first appears at its own open position; at
-            # m = t = 3 the one after p lies at 2p or later, so the greedy
-            # chain is the longest
-            viable = free >= need
-            if viable and doubling:
-                p = x
-                for _ in range(need):
-                    while p <= n and allowed[p] != -1:
-                        p += 1
-                    if p > n:
-                        viable = False
-                        break
-                    p = 2 * p
-            # once colors 1..t-2 are in use, missing colors at p and p + s0
-            # would show t colors with m - t + 1 ones and f_2..f_{t-2}: a run
-            # of L open positions y, y + s0, ... holds at most ceil(L / 2) of
-            # them.  Each run gives at least L / 2, and every run is 1 long
-            # at s0 > n - x, so neither case can prune
-            if viable and lookahead and used >= t - 2 and free < 2 * need and s0 <= n - x:
-                room = 0
-                for start in range(x, x + s0):
-                    run = 0
-                    for a in allowed[start::s0]:
-                        if a == -1:
-                            run += 1
-                        else:
-                            room += run + 1 >> 1
-                            run = 0
-                    room += run + 1 >> 1
-                viable = room >= need
-            # a pruned x starts past its last color; an old color leaves
-            # `used` as it is, so it is only tried while enough positions
-            # remain for the missing colors
-            c = cap + 1 if not viable else 1 if used + (n - x) >= r else used + 1
-        else:
-            c = colors[x] + 1
-        here = allowed[x]
-        while c <= cap:
-            nodes += 1
-            # the clock is read on the first node too, so a scan started
-            # after the deadline stops at once
-            if nodes > left or (
-                deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline
-            ):
-                if nodes > left:
-                    message = f"node budget of {budget.max_nodes} exhausted"
-                else:
-                    message = "time limit exhausted"
-                raise BudgetExceeded(
-                    message, nodes=spent + nodes, frontier=tuple(colors[1:x]) + (c,)
-                )
-            if here >> c & 1:
+    while True:
+        saved[x] = (used, free, s0, len(trail))
+        need = r - used
+        # each missing color first appears at its own open position; at
+        # m = t = 3 the one after p lies at 2p or later, so the greedy
+        # chain is the longest
+        viable = free >= need
+        if viable and doubling:
+            p = x
+            for _ in range(need):
+                while p <= n and allowed[p] != -1:
+                    p += 1
+                if p > n:
+                    viable = False
+                    break
+                p = 2 * p
+        # once colors 1..t-2 are in use, missing colors at p and p + s0
+        # would show t colors with m - t + 1 ones and f_2..f_{t-2}: a run
+        # of L open positions y, y + s0, ... holds at most ceil(L / 2) of
+        # them.  Each run gives at least L / 2, and every run is 1 long
+        # at s0 > n - x, so neither case can prune
+        if viable and lookahead and used >= t - 2 and free < 2 * need and s0 <= n - x:
+            room = 0
+            for start in range(x, x + s0):
+                run = 0
+                for a in allowed[start::s0]:
+                    if a == -1:
+                        run += 1
+                    else:
+                        room += run + 1 >> 1
+                        run = 0
+                room += run + 1 >> 1
+            viable = room >= need
+        # a pruned x starts past its last color; an old color leaves
+        # `used` as it is, so it is only tried while enough positions
+        # remain for the missing colors
+        c = r + 1 if not viable else 1 if used + (n - x) >= r else used + 1
+        while True:
+            cap = used + 1 if used < r else r
+            here = allowed[x]
+            while c <= cap:
+                nodes += 1
+                # the clock is read on the first node too, so a scan started
+                # after the deadline stops at once
+                if nodes > left or (
+                    deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline
+                ):
+                    if nodes > left:
+                        message = f"node budget of {budget.max_nodes} exhausted"
+                    else:
+                        message = "time limit exhausted"
+                    raise BudgetExceeded(
+                        message, nodes=spent + nodes, frontier=tuple(colors[1:x]) + (c,)
+                    )
+                if here >> c & 1:
+                    break
+                c += 1
+            if c <= cap:
                 break
-            c += 1
-        if c > cap:
             # x is spent: back to x - 1, undoing what its color closed
             x -= 1
-            reached = False
-            for _ in range(len(trail) - mark[x]):
+            if not x:
+                return None, nodes
+            used, free, s0, mark = saved[x]
+            for _ in range(len(trail) - mark):
                 y, old = trail.pop()
                 allowed[y] = old
-            used = used_at[x]
-            free = free_at[x]
-            s0 = s0_at[x]
-            continue
+            c = colors[x] + 1
         colors[x] = c
         if x == n:
             return tuple(colors[1:]), nodes
         bits[x] = bit = 1 << c
         now = used if c <= used else c
         free -= here == -1
-        mark[x] = len(trail)
         closings = 0
         slack = free - (r - now)
         # x and the summands it completes show at most `now` colors, so
@@ -310,8 +301,6 @@ def _search(
         x += 1
         used = now
         free -= closings
-        reached = True
-    return None, nodes
 
 
 def all_colorings_good(
@@ -361,10 +350,9 @@ def search_rs(m: int, t: int, n: int, budget: SearchBudget | None = None) -> Com
     """
     check_params(m, t, n)
     budget = budget or SearchBudget()
-    start = time.monotonic()
     if n < min_n_weak(t, m):
-        return ComputedNumber(None, None, 0, time.monotonic() - start)
-    deadline = start + budget.time_limit if budget.time_limit is not None else None
+        return ComputedNumber(None, None, 0)
+    deadline = time.monotonic() + budget.time_limit if budget.time_limit is not None else None
     closers = _closers(m, t, n, deadline)
     total_nodes = 0
     previous = (1,) * n
@@ -373,7 +361,7 @@ def search_rs(m: int, t: int, n: int, budget: SearchBudget | None = None) -> Com
         total_nodes += nodes
         if found is None:
             witness = Coloring(n=n, colors=previous, r=r - 1)
-            return ComputedNumber(r, witness, total_nodes, time.monotonic() - start)
+            return ComputedNumber(r, witness, total_nodes)
         previous = found
     raise AssertionError(
         "unreachable: the all-singleton coloring contains a t-colored solution"

@@ -304,11 +304,17 @@ class TestCheck:
         assert "witness with >= 4 colors: 1 + 2 + 3 = 6" in out
 
     def test_garbage_file(self, capsys, tmp_path):
-        path = tmp_path / "c.txt"
-        path.write_text("definitely not a coloring\n")
-        code, _, err = run(capsys, "check", "--m", "4", str(path))
-        assert code == 65
-        assert "parse error" in err
+        # a row of non-integers, and a JSON document cut short
+        for text, reason in [
+            ("definitely not a coloring\n", "labels must be integers"),
+            ('{"colors": [1, 1, 2, 3], "n": 4', "invalid JSON"),
+        ]:
+            path = tmp_path / "c.txt"
+            path.write_text(text)
+            code, out, err = run(capsys, "check", "--m", "4", str(path))
+            assert (code, out) == (65, "")
+            assert err.startswith(f"rschur: parse error: {reason}: ")
+            assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_file_that_is_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"

@@ -13,8 +13,6 @@ from rschur import (
     DomainError,
     EmptyInput,
     canonicalize,
-    coloring_from_json,
-    coloring_from_text,
     coloring_to_json,
     construct_rainbow_lower,
     construct_weak_lower,
@@ -56,12 +54,16 @@ class TestCanonicalize:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             canonicalize([])
+        with pytest.raises(EmptyInput):
+            Coloring(n=0, colors=(), r=0)
 
     def test_validation_catches_non_canonical(self):
         with pytest.raises(DomainError):
             Coloring(n=3, colors=(1, 3, 2), r=3)
         with pytest.raises(DomainError):
             Coloring(n=3, colors=(1, 1, 2), r=3)
+        with pytest.raises(DomainError):
+            Coloring(n=3, colors=(1, 2), r=2)
 
     def test_classes_view(self):
         c = from_classes(5, [[1, 4], [2, 3], [5]])
@@ -72,6 +74,8 @@ class TestCanonicalize:
             from_classes(4, [[1, 2], [4]])
         with pytest.raises(DomainError):
             from_classes(3, [[1, 2], [2, 3]])
+        with pytest.raises(DomainError):
+            from_classes(3, [[1, 2], [3, 4]])
 
 
 class TestSurplus:
@@ -428,14 +432,14 @@ class TestSerialization:
         c = canonicalize([2, 2, 7, 1])
         text = coloring_to_json(c)
         assert text == '{"colors": [1, 1, 2, 3], "n": 4}'
-        assert coloring_from_json(text) == c
+        assert parse_coloring(text) == c
 
     def test_reader_canonicalizes_arbitrary_labels(self):
-        c = coloring_from_json('{"n": 4, "colors": [9, 9, 4, 2]}')
+        c = parse_coloring('{"n": 4, "colors": [9, 9, 4, 2]}')
         assert c.colors == (1, 1, 2, 3)
 
     def test_text_row(self):
-        assert coloring_from_text("2 2 7 1").colors == (1, 1, 2, 3)
+        assert parse_coloring("2 2 7 1").colors == (1, 1, 2, 3)
         assert parse_coloring("  5 5 5 ").colors == (1, 1, 1)
         assert parse_coloring('{"n": 2, "colors": [3, 4]}').colors == (1, 2)
 
@@ -443,6 +447,8 @@ class TestSerialization:
         "text",
         [
             "not json {",
+            '{"n": 3, "colors": [1, 2',
+            "[1, 2, 3]",
             "{}",
             '{"n": 3, "colors": [1, 2]}',
             '{"n": 0, "colors": []}',
