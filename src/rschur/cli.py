@@ -104,7 +104,6 @@ def cmd_verify(args) -> int:
     budget = SearchBudget(args.max_nodes, args.time_limit, args.threads)
     # one row per n; its keys are the TSV header, in order
     rows: list[dict] = []
-    any_skipped = False
     for n in range(args.n_from, args.n_to + 1):
         try:
             fvalue = formula_value(args.m, n, args.t)
@@ -118,7 +117,6 @@ def cmd_verify(args) -> int:
             svalue = result.value
             nodes = result.nodes
         except BudgetExceeded as exc:
-            any_skipped = True
             nodes = exc.nodes
         millis = int((time.monotonic() - started) * 1000)
         # None when the two are not comparable
@@ -142,7 +140,8 @@ def cmd_verify(args) -> int:
     else:
         for row in rows:
             print(json.dumps(row, sort_keys=True))
-    if any_skipped or any(row["agree"] is False for row in rows):
+    # a budget stop leaves agree empty on a row the formula defines
+    if any(row["formula"] is not None and not row["agree"] for row in rows):
         return EXIT_BUDGET_OR_MISMATCH
     return EXIT_OK
 
@@ -211,7 +210,7 @@ def cmd_construct(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        with open(args.coloring, "r", encoding="utf-8") as handle:
+        with open(args.coloring, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         print(f"rschur: cannot read {args.coloring}: {exc.strerror or exc}", file=sys.stderr)

@@ -68,14 +68,11 @@ def canonicalize(raw: Sequence) -> Coloring:
     """Relabel arbitrary color labels by first occurrence.
 
     Idempotent, and the result induces exactly the same partition of [1, n]
-    as the input.  Labels may be any hashable values.
+    as the input.  Labels may be any hashable values, at least one of them.
     """
-    labels = list(raw)
-    if not labels:
-        raise EmptyInput("cannot canonicalize an empty label sequence")
     ids: dict = {}
     out = []
-    for lab in labels:
+    for lab in raw:
         if lab not in ids:
             ids[lab] = len(ids) + 1
         out.append(ids[lab])

@@ -39,21 +39,17 @@ def _ascending_tuples(target: int, parts: int, lo: int, step: int) -> Iterator[t
 
     Each term is at least `lo` and each later term at least `step` above its
     predecessor (step 0 gives nondecreasing tuples, step 1 strictly
-    increasing ones).  Branches whose cheapest completion already overshoots
-    the target are cut before recursing.
+    increasing ones).  A first term v leaves room for the cheapest
+    completion, every later term at its least, only while
+    parts * v + step * parts * (parts - 1) / 2 <= target.
     """
     if parts == 1:
-        if target >= lo:
-            yield (target,)
+        # the caller's loop bound keeps target >= lo
+        yield (target,)
         return
-    v = lo
-    while True:
-        rest_min = (parts - 1) * v + step * parts * (parts - 1) // 2
-        if v + rest_min > target:
-            return
+    for v in range(lo, (target - step * parts * (parts - 1) // 2) // parts + 1):
         for rest in _ascending_tuples(target - v, parts - 1, v + step, step):
             yield (v,) + rest
-        v += 1
 
 
 def enumerate_solutions(m: int, n: int, distinct: bool = False) -> Iterator[SchurSolution]:
@@ -67,8 +63,7 @@ def enumerate_solutions(m: int, n: int, distinct: bool = False) -> Iterator[Schu
     check_params(m, n=n)
     parts = m - 1
     step = 1 if distinct else 0
-    least_total = parts * (parts + 1) // 2 if distinct else parts
-    for total in range(least_total, n + 1):
+    for total in range(parts + step * parts * (parts - 1) // 2, n + 1):
         for terms in _ascending_tuples(total, parts, 1, step):
             yield SchurSolution(terms, total)
 
@@ -87,9 +82,7 @@ def index_solutions_by_total(
     BudgetExceeded as soon as more than DEFAULT_INDEX_CAP would be stored.
     """
     index: dict[int, list[SchurSolution]] = {}
-    stored = 0
-    for sol in enumerate_solutions(m, n, distinct):
-        stored += 1
+    for stored, sol in enumerate(enumerate_solutions(m, n, distinct), start=1):
         if stored > DEFAULT_INDEX_CAP:
             raise BudgetExceeded(
                 f"solution index for m={m}, n={n} exceeds the cap of {DEFAULT_INDEX_CAP}",

@@ -126,7 +126,7 @@ def _closers(m: int, t: int, n: int, deadline: float | None) -> Closers:
     summands are walked; below it each (value set, total) is kept once.
     Raises BudgetExceeded, with no nodes spent, past `deadline` (read every
     4,096 entries) or past equations.DEFAULT_INDEX_CAP entries stored before
-    that dedup: never more than the solutions index_solutions_by_total counts.
+    that dedup: never more than the solutions count_solutions counts.
     """
     closers: Closers = [[] for _ in range(n + 1)]
     step = 1 if t == m else 0

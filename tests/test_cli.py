@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rschur import formula_value, min_n_weak
+from rschur import ComputedNumber, cli, formula_value, min_n_weak
 from rschur.cli import main
 
 
@@ -216,6 +216,13 @@ class TestVerify:
         row = out.strip().splitlines()[1].split("\t")
         assert row[4] == ""  # no search value recorded
 
+    def test_undefined_search_on_a_defined_row_exits_three(self, capsys, monkeypatch):
+        # the search and the formula share one domain, so this takes a stub
+        monkeypatch.setattr(cli, "search_rs", lambda *args: ComputedNumber(None, None, 0))
+        code, out, _ = run(capsys, "verify", "--m", "4", "--n-from", "6", "--n-to", "6")
+        assert code == 3
+        assert out.splitlines()[1].split("\t")[3:6] == ["6", "", ""]
+
 
 class TestConstruct:
     def test_rainbow_document_on_stdout(self, capsys):
@@ -324,6 +331,23 @@ class TestCheck:
         assert err == (
             f"rschur: parse error: {path} is not UTF-8 text (invalid start byte at byte 0)\n"
         )
+
+    @pytest.mark.parametrize(
+        "text", ['{"n": 6, "colors": [1, 1, 2, 3, 1, 1]}', "1 1 2 3 1 1\n"], ids=["json", "row"]
+    )
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, text):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        code, out, err = run(capsys, "check", "--m", "6", "--t", "2", str(plain))
+        assert (code, out.splitlines()) == (1, [
+            "n: 6",
+            "colors used: 3",
+            "surplus integers: 3",
+            "max colors over solutions: 1",
+            "no solution shows >= 2 distinct colors",
+        ])
+        assert run(capsys, "check", "--m", "6", "--t", "2", str(marked)) == (code, out, err)
 
     def test_missing_file(self, capsys, tmp_path):
         path = str(tmp_path / "absent")

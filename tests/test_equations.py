@@ -91,6 +91,18 @@ class TestCount:
     def test_count_matches_brute(self, m, n):
         assert count_solutions(m, n) == len(brute_solutions(m, n))
 
+    @pytest.mark.parametrize("distinct", [False, True])
+    @pytest.mark.parametrize("m", range(3, 10))
+    def test_count_matches_partitions_at_n60(self, m, distinct):
+        # p[j][s]: partitions of s into j parts, distinct ones when asked;
+        # drop 1 from every part, or remove a part equal to 1 first
+        n = 60
+        p = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(m - 1)]
+        for j in range(1, m):
+            for s in range(j, n + 1):
+                p[j][s] = p[j][s - j] + p[j - 1][s - j if distinct else s - 1]
+        assert count_solutions(m, n, distinct) == sum(p[m - 1])
+
 
 class TestIndex:
     def test_bucket_example(self):

@@ -481,6 +481,32 @@ class TestLookaheadLemma:
         assert (colorings, positions) == (28_447, 5_866)
 
 
+class TestWindowLemma:
+    """The window lemma below t = m, checked with the brute oracle alone: in
+    a coloring of [1, n] with no t-colored E_m solution and first occurrences
+    f_1 = 1 < f_2 < ..., set s1 = (m - t) + f_2 + ... + f_{t-1}.  A color
+    first used at p > f_{t-1} has n - s1 < p <= s1.  Above s1, p is the total
+    of 1, f_2, ..., f_{t-1} and m - t further summands; at or below n - s1,
+    the m - t ones, f_2, ..., f_{t-1} and p sum to p + s1.  Either solution
+    shows t colors."""
+
+    def test_counterexamples_keep_new_colors_in_the_window(self):
+        colorings = positions = 0
+        for m in range(3, 7):
+            for t in range(2, m):
+                for n in range(1, 10):
+                    for coloring in growth_strings(n):
+                        if brute_has_t_colored(coloring, m, t):
+                            continue
+                        firsts = _first_occurrences(coloring)
+                        s1 = m - t + sum(firsts[1 : t - 1])
+                        for p in firsts[t - 1 :]:
+                            assert n - s1 < p <= s1, (m, t, coloring)
+                            positions += 1
+                        colorings += 1
+        assert (colorings, positions) == (57_335, 42_732)
+
+
 class TestSearchRs:
     @pytest.mark.parametrize(
         "m,t,n,expected",
