@@ -21,16 +21,18 @@ A closed position stays closed along the path, and a branch with `used`
 colors is abandoned when fewer than r - used positions ahead are open.  So
 the pass after coloring x is skipped while fewer than t - 1 colors are in
 use, and it stops once it has closed more positions than the branch can
-spare.  At m = t = 3 a new color at p closes p+1..2p-1 (a + p with a < p
-shows two colors), so new colors must at least double in position: the
-branch is also abandoned when the greedy chain of such open positions is
-shorter than r - used.  Elsewhere, for t >= 3, once colors 1..t-2 are in
-use, first at 1 < f_2 < ... < f_{t-2}, let s0 = (m - t + 1) + f_2 + ... +
-f_{t-2}.  A new color at p closes p + s0, since the solution with m - t + 1
-ones, f_2..f_{t-2} and p shows t - 1 colors; so no two positions that get
-missing colors are s0 apart.  A run of L open positions y, y + s0, ... then
-holds at most ceil(L / 2) of them, and the branch is abandoned when the runs
-hold fewer than r - used.
+spare.  The branch is also abandoned when a greedy walk over the open
+positions from x finds fewer than r - used places for the missing colors.
+It takes the first open position p it may, then goes on by one of two step
+rules.  At m = t = 3 a new color at p closes p+1..2p-1 (a + p with a < p
+shows two colors), so the walk goes on from 2p.  Elsewhere, for t >= 3, once
+colors 1..t-2 are in use, first at 1 < f_2 < ... < f_{t-2}, let
+s0 = (m - t + 1) + f_2 + ... + f_{t-2}.  A new color at p closes p + s0,
+since the solution with m - t + 1 ones, f_2..f_{t-2} and p shows t - 1
+colors; so the walk bars p + s0 and goes on from p + 1.  Greedy is exact
+under both rules: it finds the longest doubling chain, and it takes
+ceil(L / 2) of each run of L open positions y, y + s0, ..., the most such a
+run can hold.
 
 One kernel, a depth-first scan in one process, does all the scanning: one
 loop over positions, with the growth string as its odometer.  It visits
@@ -195,8 +197,6 @@ def _search(
     left = budget.max_nodes - spent
     nodes = 0
     doubling = m == t == 3
-    # off at m = t = 3, where the doubling walk is stronger
-    lookahead = t >= 3 and m > 3
     x = 1
     used = 0
     free = n
@@ -204,36 +204,22 @@ def _search(
     while True:
         saved[x] = (used, free, s0, len(trail))
         need = r - used
-        # each missing color first appears at its own open position; at
-        # m = t = 3 the one after p lies at 2p or later, so the greedy
-        # chain is the longest
+        # the greedy walk: each missing color takes its own open position
+        # p, then the walk goes on from 2p at m = t = 3, or bars p + s0 and
+        # goes on from p + 1 once colors 1..t-2 are in use.  With 2 * need
+        # open positions, or at s0 > n - x, no bar can cost a color
         viable = free >= need
-        if viable and doubling:
+        if viable and (doubling or t >= 3 and used >= t - 2 and free < 2 * need and s0 <= n - x):
+            barred = set()
             p = x
             for _ in range(need):
-                while p <= n and allowed[p] != -1:
+                while p <= n and (allowed[p] != -1 or p in barred):
                     p += 1
                 if p > n:
                     viable = False
                     break
-                p = 2 * p
-        # once colors 1..t-2 are in use, missing colors at p and p + s0
-        # would show t colors with m - t + 1 ones and f_2..f_{t-2}: a run
-        # of L open positions y, y + s0, ... holds at most ceil(L / 2) of
-        # them.  Each run gives at least L / 2, and every run is 1 long
-        # at s0 > n - x, so neither case can prune
-        if viable and lookahead and used >= t - 2 and free < 2 * need and s0 <= n - x:
-            room = 0
-            for start in range(x, x + s0):
-                run = 0
-                for a in allowed[start::s0]:
-                    if a == -1:
-                        run += 1
-                    else:
-                        room += run + 1 >> 1
-                        run = 0
-                room += run + 1 >> 1
-            viable = room >= need
+                barred.add(p + s0)
+                p = 2 * p if doubling else p + 1
         # a pruned x starts past its last color; an old color leaves
         # `used` as it is, so it is only tried while enough positions
         # remain for the missing colors

@@ -1,6 +1,7 @@
 """Closed forms: pinned values, domains, and arithmetic identities."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -152,6 +153,65 @@ class TestWeakFormula:
             values = [rs_weak_formula(t, m, n) for t in range(2, m + 1)]
             assert values == sorted(values)
 
+
+
+def _placements(k, n):
+    """(largest, sum) of each set of k integers in [2, n], once per pair;
+    (1, 0) for k = 0.  The sums of k - 1 distinct integers in [2, f - 1] fill
+    the whole range from 2 + ... + k to (f - 1) + ... + (f - k + 1), so the
+    pairs come without walking the sets."""
+    if k == 0:
+        yield 1, 0
+        return
+    j = k - 1
+    for f in range(k + 1, n + 1):
+        for s in range(j * (j + 3) // 2, j * (2 * f - j - 1) // 2 + 1):
+            yield f, f + s
+
+
+class TestRootBounds:
+    """The closed forms again from two first-position lemmas alone, with
+    every position open: the window below t = m and the s0 chains at t = m.
+    Each bound admits value - 1 colors and no more, so it refutes the value
+    at the root of a search and never refutes value - 1."""
+
+    @pytest.mark.parametrize("k,n", [(0, 5), (1, 7), (2, 9), (3, 10), (4, 11)])
+    def test_placements_match_the_sets(self, k, n):
+        sets = {
+            (max(c, default=1), sum(c)) for c in combinations(range(2, n + 1), k)
+        }
+        pairs = list(_placements(k, n))
+        assert sorted(pairs) == sorted(sets)
+
+    @pytest.mark.parametrize(
+        "t,m",
+        [(2, m) for m in range(3, 15)]
+        + [(t, m) for t in range(3, 6) for m in range(t + 1, 9)],
+    )
+    def test_window_gives_the_weak_value(self, t, m):
+        # colors 1..t-1 first at 1 < f_2 < ... < f_{t-1}, s1 = (m - t) +
+        # f_2 + ... + f_{t-1}: a later new color lies in (max(f_{t-1},
+        # n - s1), min(n, s1)], so the most colors are t - 1 plus the
+        # widest window, and that is the value minus 1
+        for n in range(min_n_weak(t, m), 41 if t == 5 else 61):
+            widest = max(
+                min(n, m - t + s) - max(f, n - (m - t + s)) for f, s in _placements(t - 2, n)
+            )
+            assert max(0, widest) + t - 1 == rs_weak_formula(t, m, n) - 1, n
+
+    @pytest.mark.parametrize("m,top", [(4, 120), (5, 80), (6, 60), (7, 45)])
+    def test_lift_gives_the_rainbow_value(self, m, top):
+        # colors 1..m-2 first at 1 < f_2 < ... < f_{m-2}, s0 = 1 + f_2 +
+        # ... + f_{m-2}: the N = n - f_{m-2} positions after f_{m-2} split
+        # into s0 chains, e of q + 1 positions and s0 - e of q with q, e =
+        # divmod(N, s0); no two new colors are s0 apart, so a chain of L
+        # positions holds ceil(L / 2) of them
+        for n in range(min_n_rainbow(m), top + 1):
+            most = 0
+            for f, s in _placements(m - 3, n):
+                q, e = divmod(n - f, 1 + s)
+                most = max(most, e * (q + 2 >> 1) + (1 + s - e) * (q + 1 >> 1))
+            assert most == rs_weak_formula(m, m, n) - (m - 1), n
 
 class TestFrontDoor:
     def test_dispatch(self):

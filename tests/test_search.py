@@ -338,6 +338,8 @@ _FRONTIER = [
     (4, 4, 40, 23, 876, (1,) * 19 + tuple(range(2, 23))),
     (4, 4, 80, 43, 3_356, (1,) * 39 + tuple(range(2, 43))),
     (5, 5, 40, 30, 9_297, (1,) * 12 + tuple(range(2, 30))),
+    (7, 4, 60, 35, 2_032, (1,) * 27 + tuple(range(2, 35))),
+    (8, 5, 40, 31, 5_242, (1,) * 11 + tuple(range(2, 31))),
 ]
 
 # (m, t, all_colorings_good nodes summed over every n <= 11 and r in [1, n])
@@ -370,7 +372,7 @@ class TestNodeCounts:
 
     @pytest.mark.parametrize("m,t,n,value,nodes,witness", _FRONTIER)
     def test_lookahead_frontier(self, m, t, n, value, nodes, witness):
-        # without the look-ahead these take 789,650 nodes and more; the
+        # without the look-ahead these take 260,748 nodes and more; the
         # budget makes a weaker rule fail fast instead of running for minutes
         result = search_rs(m, t, n, SearchBudget(max_nodes=10_000))
         assert (result.value, result.nodes, result.witness.colors) == (value, nodes, witness)
