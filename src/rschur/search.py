@@ -32,7 +32,11 @@ since the solution with m - t + 1 ones, f_2..f_{t-2} and p shows t - 1
 colors; so the walk bars p + s0 and goes on from p + 1.  Greedy is exact
 under both rules: it finds the longest doubling chain, and it takes
 ceil(L / 2) of each run of L open positions y, y + s0, ..., the most such a
-run can hold.
+run can hold.  Below t = m, once colors 1..t-1 are in use, the walk keeps to
+the window (n - s1, s1], s1 = (m - t) + f_2 + ... + f_{t-1}: a new color at
+p > s1 shows t colors with m - t ones, f_2..f_{t-1} and p - s1, and one at
+p <= n - s1 with those summands and p, total p + s1.  The walk also runs at
+s1 <= n - x; past that, the totals s1 + q, q < x, have closed (s1, n].
 
 One kernel, a depth-first scan in one process, does all the scanning: one
 loop over positions, with the growth string as its odometer.  It visits
@@ -191,31 +195,35 @@ def _search(
     allowed = [-1] * (n + 1)
     trail: list[tuple[int, int]] = []  # (y, old allowed[y]) along the path, for undo
     # saved[x]: on reaching x, the colors in use, the open positions in
-    # [x, n], m - t plus the first positions of colors 1..min(used, t - 2),
-    # and the trail length, which x's closings later extend
-    saved: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)] * (n + 1)
+    # [x, n], s0, s1 and the trail length, which x's closings later extend
+    saved: list[tuple[int, int, int, int, int]] = [(0, 0, 0, 0, 0)] * (n + 1)
     left = budget.max_nodes - spent
     nodes = 0
-    doubling = m == t == 3
+    doubling, weak = m == t == 3, t < m
     x = 1
     used = 0
     free = n
-    s0 = m - t
+    s0, s1 = m - t, m - t - 1  # f_1 = 1 joins s1, and s0 at t >= 3
     while True:
-        saved[x] = (used, free, s0, len(trail))
+        saved[x] = (used, free, s0, s1, len(trail))
         need = r - used
         # the greedy walk: each missing color takes its own open position
         # p, then the walk goes on from 2p at m = t = 3, or bars p + s0 and
         # goes on from p + 1 once colors 1..t-2 are in use.  With 2 * need
-        # open positions, or at s0 > n - x, no bar can cost a color
+        # open positions, or at s0 > n - x, no bar can cost a color; below
+        # t = m, once colors 1..t-1 are in use, p stays in (n - s1, s1]
         viable = free >= need
-        if viable and (doubling or t >= 3 and used >= t - 2 and free < 2 * need and s0 <= n - x):
+        if viable and (
+            doubling
+            or weak and used >= t - 1 and s1 <= n - x
+            or t >= 3 and used >= t - 2 and free < 2 * need and s0 <= n - x
+        ):
             barred = set()
-            p = x
+            p, end = (max(x, n - s1 + 1), min(n, s1)) if weak and used >= t - 1 else (x, n)
             for _ in range(need):
-                while p <= n and (allowed[p] != -1 or p in barred):
+                while p <= end and (allowed[p] != -1 or p in barred):
                     p += 1
-                if p > n:
+                if p > end:
                     viable = False
                     break
                 barred.add(p + s0)
@@ -250,7 +258,7 @@ def _search(
             x -= 1
             if not x:
                 return None, nodes
-            used, free, s0, mark = saved[x]
+            used, free, s0, s1, mark = saved[x]
             for _ in range(len(trail) - mark):
                 y, old = trail.pop()
                 allowed[y] = old
@@ -282,8 +290,10 @@ def _search(
                             closings += 1
                             if closings > slack:
                                 break
-        if used < c <= t - 2:
-            s0 += x
+        if used < c < t:
+            s1 += x
+            if c < t - 1:
+                s0 += x
         x += 1
         used = now
         free -= closings

@@ -327,27 +327,30 @@ _PINNED = [
     (3, 3, 18, 6, 96, (1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1, 5, 1, 2)),
     (4, 4, 18, 12, 194, (1,) * 8 + tuple(range(2, 12))),
     (5, 5, 19, 16, 322, (1,) * 5 + tuple(range(2, 16))),
-    (4, 3, 16, 4, 178, (1,) * 14 + (2, 3)),
+    (4, 3, 16, 4, 55, (1,) * 14 + (2, 3)),
     (5, 4, 15, 11, 145, (1,) * 6 + tuple(range(2, 11))),
     (4, 4, 28, 17, 444, (1,) * 13 + tuple(range(2, 17))),
     (4, 4, 34, 20, 642, (1,) * 16 + tuple(range(2, 20))),
 ]
 
-# the m >= 4 frontier, which the scan reaches only with the look-ahead rule
+# the m >= 4 frontier, which the scan reaches only with the look-ahead rule,
+# and the weak t = 3 value, which it refutes in time only with the window
 _FRONTIER = [
     (4, 4, 40, 23, 876, (1,) * 19 + tuple(range(2, 23))),
     (4, 4, 80, 43, 3_356, (1,) * 39 + tuple(range(2, 43))),
     (5, 5, 40, 30, 9_297, (1,) * 12 + tuple(range(2, 30))),
     (7, 4, 60, 35, 2_032, (1,) * 27 + tuple(range(2, 35))),
     (8, 5, 40, 31, 5_242, (1,) * 11 + tuple(range(2, 31))),
+    (4, 3, 40, 4, 151, (1,) * 38 + (2, 3)),
+    (7, 3, 50, 7, 329, (1,) * 45 + tuple(range(2, 7))),
 ]
 
 # (m, t, all_colorings_good nodes summed over every n <= 11 and r in [1, n])
 _SMALL_TOTALS = [
-    (3, 2, 311), (3, 3, 272),
-    (4, 2, 335), (4, 3, 405), (4, 4, 436),
-    (5, 2, 424), (5, 3, 347), (5, 4, 448), (5, 5, 491),
-    (6, 2, 817), (6, 3, 348), (6, 4, 463), (6, 5, 498), (6, 6, 506),
+    (3, 2, 121), (3, 3, 272),
+    (4, 2, 125), (4, 3, 310), (4, 4, 436),
+    (5, 2, 141), (5, 3, 320), (5, 4, 448), (5, 5, 491),
+    (6, 2, 178), (6, 3, 339), (6, 4, 463), (6, 5, 498), (6, 6, 506),
 ]
 
 
@@ -366,18 +369,33 @@ class TestNodeCounts:
 
     @pytest.mark.parametrize("m,t,n,value,nodes,witness", _PINNED)
     def test_search_rs_capacity(self, m, t, n, value, nodes, witness):
-        # the full kernel: the capacity rule, at m = t = 3 the doubling rule
-        # and elsewhere the look-ahead rule
+        # the full kernel: the capacity rule, at m = t = 3 the doubling rule,
+        # elsewhere the look-ahead rule and below t = m the window
         self._check(m, t, n, value, nodes, witness)
 
     @pytest.mark.parametrize("m,t,n,value,nodes,witness", _FRONTIER)
     def test_lookahead_frontier(self, m, t, n, value, nodes, witness):
-        # without the look-ahead these take 260,748 nodes and more; the
-        # budget makes a weaker rule fail fast instead of running for minutes
+        # without the look-ahead the m >= 4 rows take 260,748 nodes and more,
+        # and without the window (4, 3, 40) takes 29,126; the budget makes a
+        # weaker rule fail fast instead of running for minutes
         result = search_rs(m, t, n, SearchBudget(max_nodes=10_000))
         assert (result.value, result.nodes, result.witness.colors) == (value, nodes, witness)
         found, _ = has_t_colored_solution(result.witness, m, t)
         assert not found
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+    def test_window_ends_without_closings(self, m):
+        # with no solution indexed nothing closes, so only the walk prunes;
+        # with the index, the pass closes s1 + q for every colored q before
+        # the walk looks there, so only an empty index shows the window's
+        # ends exactly.  At t = 2, s1 = m - 2 and color 2 must first appear
+        # in (n - m + 2, m - 2]: empty at n = 2m - 4, where the first node
+        # refutes r = 2, and the one position m - 2 at n = 2m - 5
+        for n, refuted in [(2 * m - 4, True), (2 * m - 5, False)]:
+            found, nodes = search_module._search(
+                [[]] * (n + 1), m, 2, n, 2, SearchBudget(), 0, None
+            )
+            assert (found is None, nodes == 1) == (refuted, refuted), n
 
     @pytest.mark.parametrize("m,t,total", _SMALL_TOTALS)
     def test_small_instances_node_totals(self, m, t, total):
