@@ -13,12 +13,9 @@ from .colorings import (
     coloring_to_json,
     construct_rainbow_lower,
     construct_weak_lower,
-    from_classes,
     has_t_colored_solution,
     max_solution_colors,
-    merge_classes,
     parse_coloring,
-    surplus_count,
 )
 from .equations import (
     SchurSolution,
@@ -30,18 +27,13 @@ from .errors import (
     BudgetExceeded,
     ColoringParseError,
     DomainError,
-    EmptyInput,
     RainbowSchurError,
 )
 from .formulas import (
     check_params,
     formula_description,
     formula_value,
-    min_n_rainbow,
     min_n_weak,
-    rs3_formula,
-    rs_formula,
-    rs_weak_formula,
 )
 from .search import (
     ComputedNumber,
@@ -60,7 +52,6 @@ __all__ = [
     "ColoringParseError",
     "ComputedNumber",
     "DomainError",
-    "EmptyInput",
     "Outcome",
     "RainbowSchurError",
     "SchurSolution",
@@ -76,17 +67,10 @@ __all__ = [
     "enumerate_solutions",
     "formula_description",
     "formula_value",
-    "from_classes",
     "has_t_colored_solution",
     "index_solutions_by_total",
     "max_solution_colors",
-    "merge_classes",
-    "min_n_rainbow",
     "min_n_weak",
     "parse_coloring",
-    "rs3_formula",
-    "rs_formula",
-    "rs_weak_formula",
     "search_rs",
-    "surplus_count",
 ]

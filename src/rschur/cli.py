@@ -20,7 +20,6 @@ from .colorings import (
     has_t_colored_solution,
     max_solution_colors,
     parse_coloring,
-    surplus_count,
 )
 from .equations import enumerate_solutions
 from .errors import BudgetExceeded, ColoringParseError, DomainError
@@ -223,7 +222,7 @@ def cmd_check(args) -> int:
     maximum, witness = max_solution_colors(coloring, args.m)
     print(f"n: {coloring.n}")
     print(f"colors used: {coloring.r}")
-    print(f"surplus integers: {surplus_count(coloring)}")
+    print(f"surplus integers: {coloring.n - coloring.r}")
     print(f"max colors over solutions: {maximum}")
     if maximum >= args.t:
         print(f"witness with >= {args.t} colors: {witness}")

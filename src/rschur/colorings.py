@@ -19,11 +19,11 @@ import json
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .equations import SchurSolution, enumerate_solutions
-from .errors import ColoringParseError, DomainError, EmptyInput
-from .formulas import check_params, rs_weak_formula
+from .errors import ColoringParseError, DomainError
+from .formulas import check_params, formula_value
 
 # keys has_t_colored_solution stores at most per scan, about 154 B each
 SCAN_MEMO_CAP = 1 << 18
@@ -39,7 +39,7 @@ class Coloring:
 
     def __post_init__(self):
         if self.n < 1:
-            raise EmptyInput("a coloring needs at least one element")
+            raise DomainError("a coloring needs at least one element")
         if len(self.colors) != self.n:
             raise DomainError(
                 f"expected {self.n} color entries, got {len(self.colors)}"
@@ -77,38 +77,6 @@ def canonicalize(raw: Sequence) -> Coloring:
             ids[lab] = len(ids) + 1
         out.append(ids[lab])
     return Coloring(n=len(out), colors=tuple(out), r=len(ids))
-
-
-def from_classes(n: int, classes: Iterable[Iterable[int]]) -> Coloring:
-    """Build a coloring from disjoint classes that cover [1, n] exactly."""
-    label = [0] * (n + 1)
-    for cid, members in enumerate(classes, start=1):
-        for x in members:
-            if not 1 <= x <= n:
-                raise DomainError(f"class member {x} is outside [1, {n}]")
-            if label[x]:
-                raise DomainError(f"{x} appears in two classes")
-            label[x] = cid
-    missing = [x for x in range(1, n + 1) if not label[x]]
-    if missing:
-        raise DomainError(f"classes must cover [1, {n}]; missing {missing[:5]}")
-    return canonicalize(label[1:])
-
-
-def surplus_count(c: Coloring) -> int:
-    """Number of integers whose color already appeared at a smaller integer.
-
-    For an exact r-coloring this is always n - r: each color is new exactly
-    once.
-    """
-    seen: set[int] = set()
-    surplus = 0
-    for col in c.colors:
-        if col in seen:
-            surplus += 1
-        else:
-            seen.add(col)
-    return surplus
 
 
 def max_solution_colors(c: Coloring, m: int) -> tuple[int, SchurSolution | None]:
@@ -239,10 +207,10 @@ def has_t_colored_solution(
 
 
 def construct_rainbow_lower(m: int, n: int) -> Coloring:
-    """Extremal coloring showing RS_m(n) > rs_formula(m, n) - 1.
+    """Extremal coloring showing RS_m(n) > formula_value(m, n) - 1.
 
     The weak construction at t = m.  For m >= 4 it is one block [1, head]
-    with head = n + 2 - rs_formula(m, n), then singletons: every solution
+    with head = n + 2 - formula_value(m, n), then singletons: every solution
     with strictly increasing summands has its two smallest summands inside
     the block, so no solution is rainbow.  At m = 3 it is the 2-adic
     coloring.
@@ -251,7 +219,7 @@ def construct_rainbow_lower(m: int, n: int) -> Coloring:
 
 
 def construct_weak_lower(t: int, m: int, n: int) -> Coloring:
-    """Extremal coloring with rs_weak_formula(t, m, n) - 1 colors and no
+    """Extremal coloring with formula_value(m, n, t) - 1 colors and no
     solution showing t distinct colors, on the whole domain of the formula.
 
     - t = 2: one class [1, n - m + 2] and [m - 1, n], the values that occur
@@ -260,29 +228,15 @@ def construct_weak_lower(t: int, m: int, n: int) -> Coloring:
       No x + y = z is rainbow: if x and y differ in valuation, z has the
       smaller one, and otherwise x and y share a color.
     - otherwise: one block [1, n + 2 - k] plus singletons, where
-      k = rs_weak_formula(t, m, n).
+      k = formula_value(m, n, t).
     """
-    k = rs_weak_formula(t, m, n)
+    k = formula_value(m, n, t)
     if t == 2:
         return canonicalize([x if n - m + 2 < x < m - 1 else 0 for x in range(1, n + 1)])
     if m == 3:
         return canonicalize([(x & -x).bit_length() for x in range(1, n + 1)])
     head = n + 2 - k
     return canonicalize([0] * head + list(range(head + 1, n + 1)))
-
-
-def merge_classes(c: Coloring, c1: int, c2: int) -> Coloring:
-    """Unify two color classes and recanonicalize.
-
-    The result is an exact coloring with r - 1 colors.  Merging can only
-    lower the number of distinct colors a solution shows, so merges of a
-    coloring without t-colored solutions never create one.
-    """
-    if c1 == c2 or not 1 <= c1 <= c.r or not 1 <= c2 <= c.r:
-        raise DomainError(
-            f"need two distinct color ids in [1, {c.r}], got {c1} and {c2}"
-        )
-    return canonicalize([c1 if col == c2 else col for col in c.colors])
 
 
 def coloring_to_json(c: Coloring) -> str:

@@ -9,10 +9,6 @@ class DomainError(RainbowSchurError, ValueError):
     """Arguments fall outside an operation's stated domain."""
 
 
-class EmptyInput(DomainError):
-    """A coloring needs at least one element."""
-
-
 class ColoringParseError(RainbowSchurError, ValueError):
     """A coloring file or string could not be parsed."""
 

@@ -37,50 +37,26 @@ def check_params(m: int, t: int | None = None, n: int = 1) -> int:
     return t
 
 
-def min_n_rainbow(m: int) -> int:
-    """Least n for which E_m has a solution with pairwise distinct values.
-
-    That solution is 1 + 2 + ... + (m-1) = m(m-1)/2, so any smaller interval
-    admits no rainbow solution at all.  It is min_n_weak at t = m.
-    """
-    return min_n_weak(m, m)
-
-
 def min_n_weak(t: int, m: int) -> int:
     """Least n for which E_m has a solution with at least t distinct values.
 
     Attained by m - t + 1 ones followed by 2, 3, ..., t - 1, which sums to
-    t(t-1)/2 + m - t.  Coincides with min_n_rainbow at t = m.
+    t(t-1)/2 + m - t.  At t = m that is 1 + 2 + ... + (m-1) = m(m-1)/2, the
+    least n with a rainbow solution.
     """
     check_params(m, t)
     return t * (t - 1) // 2 + m - t
 
 
-def rs3_formula(n: int) -> int:
-    """RS_3(n) = floor(log2(n)) + 2 for n >= 3.
-
-    floor(log2(n)) is n.bit_length() - 1, exact for any size of n.  The
-    weak case at t = m = 3.
-    """
-    return rs_weak_formula(3, 3, n)
-
-
-def rs_formula(m: int, n: int) -> int:
-    """RS_m(n) for m >= 3 and n >= m(m-1)/2: the weak case at t = m.
-
-    That is ceil(((m-3)n + m(m-1)/2) / (m-2)) for m >= 4 and the logarithmic
-    law rs3_formula at m = 3.
-    """
-    return rs_weak_formula(m, m, n)
-
-
-def rs_weak_formula(t: int, m: int, n: int) -> int:
-    """RS_{t,m}(n) in closed form, for every m >= 3, 2 <= t <= m and
+def formula_value(m: int, n: int, t: int | None = None) -> int:
+    """RS_{t,m}(n) in closed form, the front door for every case: m >= 3,
+    2 <= t <= m with t defaulting to m (the rainbow number RS_m(n)), and
     n >= min_n_weak(t, m); below that n the value is undefined.
 
     - t = m = 3: floor(log2(n)) + 2, as n.bit_length() + 1.
     - 3 <= t <= m, m >= 4: ceil(((t-3)n + t(t-1)/2 + m - t) / (t-2)), which
-      reduces to m at t = 3 and to the rainbow value RS_m(n) at t = m.
+      reduces to m at t = 3 and to the rainbow value
+      ceil(((m-3)n + m(m-1)/2) / (m-2)) at t = m.
     - t = 2: max(2, 2m - 2 - n), the constant 2 from n = 2m - 4 on.
 
     Sketch for t = 2.  Summands lie in [1, n - m + 2] and totals in
@@ -91,6 +67,7 @@ def rs_weak_formula(t: int, m: int, n: int) -> int:
     between the ranges, which lie in no solution, are free.  Making each of
     those a singleton attains the most colors, max(1, 2m - 3 - n).
     """
+    t = check_params(m, t)
     least = min_n_weak(t, m)
     if n < least:
         raise DomainError(
@@ -104,7 +81,7 @@ def _ceil_form(t: int, m: int, n: int) -> int:
 
 
 # The closed forms, one row each: (applies to (m, t), value at (t, m, n),
-# statement).  rs_weak_formula and formula_description both take the first
+# statement).  formula_value and formula_description both take the first
 # row that applies, so the value and its statement cannot disagree.
 _CASES = (
     (lambda m, t: t == m == 3, lambda t, m, n: n.bit_length() + 1, "floor(log2(n)) + 2"),
@@ -116,11 +93,6 @@ _CASES = (
 
 def _case(m: int, t: int):
     return next(case for case in _CASES if case[0](m, t))
-
-
-def formula_value(m: int, n: int, t: int | None = None) -> int:
-    """Front door for all closed forms; t defaults to m (the rainbow case)."""
-    return rs_weak_formula(check_params(m, t), m, n)
 
 
 def formula_description(m: int, t: int | None = None) -> str:

@@ -21,16 +21,10 @@ from rschur import (
     construct_weak_lower,
     enumerate_solutions,
     formula_value,
-    from_classes,
     has_t_colored_solution,
     max_solution_colors,
-    merge_classes,
-    min_n_rainbow,
     min_n_weak,
-    rs_formula,
-    rs_weak_formula,
     search_rs,
-    surplus_count,
 )
 
 WitnessMap = dict  # (m, t, n) -> list of (r, counterexample Coloring)
@@ -85,14 +79,14 @@ def weak_grid():
     for t, m, n, closed_form in points:
         searched = search_rs(m, t, n).value
         witnesses[(m, t, n)] = counterexamples_below(m, t, n, searched)
-        rows.append((t, m, n, searched, rs_weak_formula(t, m, n), closed_form))
+        rows.append((t, m, n, searched, formula_value(m, n, t), closed_form))
     return rows, witnesses, time.monotonic() - started
 
 
 @pytest.fixture(scope="module")
 def small_interval_example():
     """The three-class coloring of [1, 6] with only monochromatic solutions."""
-    coloring = from_classes(6, [[1, 2, 5, 6], [3], [4]])
+    coloring = canonicalize([1, 1, 2, 3, 1, 1])
     value = search_rs(6, 2, 6).value
     return coloring, value, counterexamples_below(6, 2, 6, value)
 
@@ -102,7 +96,7 @@ def construction_grid():
     """All constructions for 3 <= m <= 9, every t, n up to 60."""
     rainbow = []
     for m in range(3, 10):
-        for n in range(min_n_rainbow(m), 61):
+        for n in range(min_n_weak(m, m), 61):
             rainbow.append((m, n, construct_rainbow_lower(m, n)))
     weak = []
     for m in range(3, 10):
@@ -176,13 +170,13 @@ def test_criterion_4_constructions_are_extremal(construction_grid):
     started = time.monotonic()
     failures = []
     for m, n, coloring in rainbow:
-        if coloring.r != rs_formula(m, n) - 1:
+        if coloring.r != formula_value(m, n) - 1:
             failures.append(("rainbow-colors", m, n, coloring.r))
         found, witness = has_t_colored_solution(coloring, m, m)
         if found:
             failures.append(("rainbow-solution", m, n, str(witness)))
     for t, m, n, coloring in weak:
-        if coloring.r != rs_weak_formula(t, m, n) - 1:
+        if coloring.r != formula_value(m, n, t) - 1:
             failures.append(("weak-colors", t, m, n, coloring.r))
         found, witness = has_t_colored_solution(coloring, m, t)
         if found:
@@ -203,16 +197,17 @@ def test_criterion_5_specialization_identities():
     started = time.monotonic()
     failures = []
     for n in range(6, 10**6 + 1):
-        if rs_formula(4, n) != (n + 7) // 2:  # integer form of ceil((n+6)/2)
+        if formula_value(4, n) != (n + 7) // 2:  # integer form of ceil((n+6)/2)
             failures.append(("four-term", n))
             break
     rng = random.Random(20260814)
     for m in range(4, 51):
-        base = min_n_rainbow(m)
+        base = min_n_weak(m, m)
         for n in rng.sample(range(base, base + 10**6), 100):
-            if rs_weak_formula(m, m, n) != rs_formula(m, n):
+            # the rainbow closed form, written out apart from the weak one
+            if formula_value(m, n, m) != -(-((m - 3) * n + base) // (m - 2)):
                 failures.append(("t=m", m, n))
-            if rs_weak_formula(3, m, n) != m:
+            if formula_value(m, n, 3) != m:
                 failures.append(("t=3", m, n))
     elapsed = time.monotonic() - started
     report(
@@ -231,12 +226,15 @@ def test_criterion_6_property_suites(
     started = time.monotonic()
     failures = []
 
-    # (a) every exact coloring has exactly n - r surplus integers
+    # (a) every exact coloring has exactly n - r surplus integers, those
+    # whose color already appeared at a smaller one: the count that
+    # `rschur check` prints as n - r
     rng = random.Random(4903)
     for _ in range(1000):
         n = rng.randint(1, 50)
         c = canonicalize([rng.randint(1, n) for _ in range(n)])
-        if surplus_count(c) != c.n - c.r:
+        repeats = sum(col in c.colors[:i] for i, col in enumerate(c.colors))
+        if repeats != c.n - c.r:
             failures.append(("surplus", c.colors))
 
     # (b) downward closure: merging any two classes of a counterexample found
@@ -252,7 +250,9 @@ def test_criterion_6_property_suites(
         for r, witness in sink:
             for c1 in range(1, witness.r + 1):
                 for c2 in range(c1 + 1, witness.r + 1):
-                    merged = merge_classes(witness, c1, c2)
+                    merged = canonicalize(
+                        [c1 if col == c2 else col for col in witness.colors]
+                    )
                     found, sol = has_t_colored_solution(merged, m, t)
                     checked += 1
                     if merged.r != r - 1 or found:

@@ -11,28 +11,21 @@ from rschur import (
     Coloring,
     ColoringParseError,
     DomainError,
-    EmptyInput,
     canonicalize,
     coloring_to_json,
     construct_rainbow_lower,
     construct_weak_lower,
     enumerate_solutions,
-    from_classes,
+    formula_value,
     has_t_colored_solution,
     max_solution_colors,
-    merge_classes,
-    min_n_rainbow,
     min_n_weak,
     parse_coloring,
-    rs3_formula,
-    rs_formula,
-    rs_weak_formula,
-    surplus_count,
 )
 
 # the worked three-class coloring of [1, 6] whose E_6 solutions are all
 # monochromatic: {1, 2, 5, 6}, {3}, {4}
-SPREAD_FREE_266 = from_classes(6, [[1, 2, 5, 6], [3], [4]])
+SPREAD_FREE_266 = canonicalize([1, 1, 2, 3, 1, 1])
 
 
 class TestCanonicalize:
@@ -52,9 +45,9 @@ class TestCanonicalize:
             assert once == again
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DomainError, match="at least one element"):
             canonicalize([])
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DomainError, match="at least one element"):
             Coloring(n=0, colors=(), r=0)
 
     def test_validation_catches_non_canonical(self):
@@ -66,28 +59,8 @@ class TestCanonicalize:
             Coloring(n=3, colors=(1, 2), r=2)
 
     def test_classes_view(self):
-        c = from_classes(5, [[1, 4], [2, 3], [5]])
+        c = canonicalize([1, 2, 2, 1, 3])
         assert c.classes() == [[1, 4], [2, 3], [5]]
-
-    def test_from_classes_must_cover(self):
-        with pytest.raises(DomainError):
-            from_classes(4, [[1, 2], [4]])
-        with pytest.raises(DomainError):
-            from_classes(3, [[1, 2], [2, 3]])
-        with pytest.raises(DomainError):
-            from_classes(3, [[1, 2], [3, 4]])
-
-
-class TestSurplus:
-    def test_example(self):
-        assert surplus_count(canonicalize([1, 1, 2, 3])) == 1
-
-    def test_always_n_minus_r(self):
-        rng = random.Random(23)
-        for _ in range(300):
-            n = rng.randint(1, 60)
-            c = canonicalize([rng.randint(1, n) for _ in range(n)])
-            assert surplus_count(c) == c.n - c.r
 
 
 class TestDetection:
@@ -117,7 +90,7 @@ class TestDetection:
 
     def test_witness_is_first_in_stream_order(self):
         # both (1,3;4) and (2,2;4) are 2-colored here; (1,1;2) and (1,2;3) are not
-        c = from_classes(4, [[1, 2, 3], [4]])
+        c = canonicalize([1, 1, 1, 2])
         found, witness = has_t_colored_solution(c, 3, 2)
         assert found
         assert (witness.terms, witness.total) == ((1, 3), 4)
@@ -211,7 +184,7 @@ class TestBoundedScan:
                     split = canonicalize(
                         [c.r + 1 if y == x else col for y, col in enumerate(c.colors, 1)]
                     )
-                    assert split.r == rs_weak_formula(t, m, n)
+                    assert split.r == formula_value(m, n, t)
                     got = has_t_colored_solution(split, m, t)
                     assert got[0], (t, m, n, x)
                     assert got == first_matches(split, m)[t], (t, m, n, x)
@@ -233,7 +206,10 @@ def split_block(c, rng):
 
 
 def merge_two(c, rng):
-    return merge_classes(c, *rng.sample(range(1, c.r + 1), 2)) if c.r >= 2 else None
+    if c.r < 2:
+        return None
+    a, b = rng.sample(range(1, c.r + 1), 2)
+    return canonicalize([a if col == b else col for col in c.colors])
 
 
 class TestScanMemo:
@@ -339,7 +315,7 @@ class TestConstructions:
     def test_rainbow_example(self):
         c = construct_rainbow_lower(4, 10)
         assert c.colors == (1, 1, 1, 1, 2, 3, 4, 5, 6, 7)
-        assert c.r == rs_formula(4, 10) - 1 == 7
+        assert c.r == formula_value(4, 10) - 1 == 7
 
     def test_rainbow_short_head(self):
         assert construct_rainbow_lower(5, 12).colors == (1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
@@ -351,7 +327,7 @@ class TestConstructions:
         assert c.r == 3
         c = construct_weak_lower(4, 5, 10)
         assert c.classes()[0] == [1, 2, 3]
-        assert c.r == rs_weak_formula(4, 5, 10) - 1 == 8
+        assert c.r == formula_value(5, 10, 4) - 1 == 8
 
     def test_weak_at_t_equal_m_is_the_rainbow_construction(self):
         for m, n in [(4, 8), (5, 12), (6, 16)]:
@@ -365,30 +341,30 @@ class TestConstructions:
             construct_rainbow_lower(3, 2)
         with pytest.raises(DomainError):
             construct_weak_lower(2, 5, 3)
-        assert construct_weak_lower(2, 5, 4).r == rs_weak_formula(2, 5, 4) - 1
-        assert construct_rainbow_lower(3, 3).r == rs3_formula(3) - 1
+        assert construct_weak_lower(2, 5, 4).r == formula_value(5, 4, 2) - 1
+        assert construct_rainbow_lower(3, 3).r == formula_value(3, 3) - 1
 
     def test_two_color_class(self):
         # [1, n - m + 2] and [m - 1, n] share one color, the values between
         # are singletons
         c = construct_weak_lower(2, 7, 7)
         assert c.classes() == [[1, 2, 6, 7], [3], [4], [5]]
-        assert c.r == rs_weak_formula(2, 7, 7) - 1 == 4
+        assert c.r == formula_value(7, 7, 2) - 1 == 4
         for n in range(10, 20):
             assert construct_weak_lower(2, 7, n).r == 1
 
     def test_two_adic(self):
         c = construct_rainbow_lower(3, 12)
         assert c.colors == (1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3)
-        assert c.r == rs3_formula(12) - 1
+        assert c.r == formula_value(3, 12) - 1
         for n in range(3, 200):
             c = construct_weak_lower(3, 3, n)
-            assert c.r == rs3_formula(n) - 1
+            assert c.r == formula_value(3, n) - 1
             assert not has_t_colored_solution(c, 3, 3)[0], n
 
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_rainbow_construction_avoids_rainbow(self, m):
-        for n in range(min_n_rainbow(m), min_n_rainbow(m) + 10):
+        for n in range(min_n_weak(m, m), min_n_weak(m, m) + 10):
             c = construct_rainbow_lower(m, n)
             found, _ = has_t_colored_solution(c, m, m)
             assert not found
@@ -403,10 +379,6 @@ class TestConstructions:
 
 
 class TestMerge:
-    def test_examples(self):
-        assert merge_classes(canonicalize([1, 2, 3]), 2, 3).colors == (1, 2, 2)
-        assert merge_classes(canonicalize([1, 1, 2]), 1, 2).colors == (1, 1, 1)
-
     def test_drops_exactly_one_color(self):
         rng = random.Random(31)
         for _ in range(100):
@@ -415,16 +387,9 @@ class TestMerge:
             if c.r < 2:
                 continue
             a, b = rng.sample(range(1, c.r + 1), 2)
-            merged = merge_classes(c, a, b)
+            merged = canonicalize([a if col == b else col for col in c.colors])
             assert merged.r == c.r - 1
             assert merged.n == c.n
-
-    def test_rejects_bad_ids(self):
-        c = canonicalize([1, 2, 3])
-        with pytest.raises(DomainError):
-            merge_classes(c, 1, 1)
-        with pytest.raises(DomainError):
-            merge_classes(c, 1, 4)
 
 
 class TestSerialization:

@@ -1,10 +1,15 @@
 """Closed forms: pinned values, domains, and arithmetic identities."""
 
+import doctest
+import inspect
+import math
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import rschur
 from rschur import (
     DomainError,
     all_colorings_good,
@@ -19,11 +24,7 @@ from rschur import (
     has_t_colored_solution,
     index_solutions_by_total,
     max_solution_colors,
-    min_n_rainbow,
     min_n_weak,
-    rs3_formula,
-    rs_formula,
-    rs_weak_formula,
     search_rs,
 )
 
@@ -31,11 +32,11 @@ from rschur import (
 class TestMinN:
     @pytest.mark.parametrize("m,expected", [(3, 3), (4, 6), (8, 28)])
     def test_rainbow_threshold(self, m, expected):
-        assert min_n_rainbow(m) == expected
+        assert min_n_weak(m, m) == expected
 
     def test_rainbow_rejects_small_m(self):
         with pytest.raises(DomainError):
-            min_n_rainbow(2)
+            min_n_weak(2, 2)
 
     @pytest.mark.parametrize("t,m,expected", [(3, 4, 4), (2, 6, 5), (2, 3, 2)])
     def test_weak_threshold(self, t, m, expected):
@@ -43,7 +44,8 @@ class TestMinN:
 
     @pytest.mark.parametrize("m", range(3, 12))
     def test_weak_matches_rainbow_at_t_equal_m(self, m):
-        assert min_n_weak(m, m) == min_n_rainbow(m)
+        # the least rainbow solution is 1 + 2 + ... + (m - 1)
+        assert min_n_weak(m, m) == sum(range(1, m))
 
     def test_weak_rejects_bad_t(self):
         with pytest.raises(DomainError):
@@ -55,18 +57,18 @@ class TestMinN:
 class TestRs3:
     @pytest.mark.parametrize("n,expected", [(3, 3), (4, 4), (7, 4), (8, 5), (1024, 12)])
     def test_values(self, n, expected):
-        assert rs3_formula(n) == expected
+        assert formula_value(3, n) == expected
 
     def test_below_domain(self):
         with pytest.raises(DomainError):
-            rs3_formula(2)
+            formula_value(3, 2)
 
     @pytest.mark.parametrize("k", range(2, 61))
     def test_exact_at_powers_of_two(self, k):
         # bit-length arithmetic must not wobble where floats would round
-        assert rs3_formula(2**k - 1) == k + 1
-        assert rs3_formula(2**k) == k + 2
-        assert rs3_formula(2**k + 1) == k + 2
+        assert formula_value(3, 2**k - 1) == k + 1
+        assert formula_value(3, 2**k) == k + 2
+        assert formula_value(3, 2**k + 1) == k + 2
 
 
 class TestRsFormula:
@@ -74,35 +76,36 @@ class TestRsFormula:
         "m,n,expected", [(4, 6, 6), (4, 100, 53), (5, 13, 12), (7, 21, 21)]
     )
     def test_values(self, m, n, expected):
-        assert rs_formula(m, n) == expected
+        assert formula_value(m, n) == expected
 
     def test_m3_needs_its_own_law(self):
+        # the ceiling form would give the constant 3 at m = 3
         for n in range(3, 200):
-            assert rs_formula(3, n) == rs3_formula(n)
+            assert formula_value(3, n) == math.floor(math.log2(n)) + 2
 
     def test_below_domain(self):
         with pytest.raises(DomainError):
-            rs_formula(4, 5)
+            formula_value(4, 5)
         with pytest.raises(DomainError):
-            rs_formula(2, 10)
+            formula_value(2, 10)
 
     @pytest.mark.parametrize("n", range(6, 200))
     def test_four_variable_specialization(self, n):
         # the general law collapses to ceil((n + 6) / 2) at m = 4
-        assert rs_formula(4, n) == (n + 6 + 1) // 2
+        assert formula_value(4, n) == (n + 6 + 1) // 2
 
     @pytest.mark.parametrize("m", range(4, 13))
     def test_initial_plateau(self, m):
         # for the first m - 3 values of n the answer equals n itself
-        base = min_n_rainbow(m)
+        base = min_n_weak(m, m)
         for i in range(m - 3):
-            assert rs_formula(m, base + i) == base + i
+            assert formula_value(m, base + i) == base + i
 
     @pytest.mark.parametrize("m", range(4, 10))
     def test_steps_are_zero_or_one(self, m):
-        prev = rs_formula(m, min_n_rainbow(m))
-        for n in range(min_n_rainbow(m) + 1, min_n_rainbow(m) + 120):
-            cur = rs_formula(m, n)
+        prev = formula_value(m, min_n_weak(m, m))
+        for n in range(min_n_weak(m, m) + 1, min_n_weak(m, m) + 120):
+            cur = formula_value(m, n)
             assert cur - prev in (0, 1)
             prev = cur
 
@@ -114,43 +117,42 @@ class TestWeakFormula:
          (5, 5, 12, 12), (3, 3, 10, 5)],
     )
     def test_values(self, t, m, n, expected):
-        assert rs_weak_formula(t, m, n) == expected
+        assert formula_value(m, n, t) == expected
 
     def test_constant_band_boundary(self):
         # RS_{2,m}(n) = max(2, 2m - 2 - n): the constant 2 starts at 2m - 4
-        assert rs_weak_formula(2, 6, 8) == 2
-        assert rs_weak_formula(2, 6, 7) == 3
-        assert [rs_weak_formula(2, 9, n) for n in range(8, 17)] == [8, 7, 6, 5, 4, 3, 2, 2, 2]
+        assert formula_value(6, 8, 2) == 2
+        assert formula_value(6, 7, 2) == 3
+        assert [formula_value(9, n, 2) for n in range(8, 17)] == [8, 7, 6, 5, 4, 3, 2, 2, 2]
         with pytest.raises(DomainError, match="n must be at least"):
-            rs_weak_formula(2, 6, 4)  # needs n >= m - 1 = 5
+            formula_value(6, 4, 2)  # needs n >= m - 1 = 5
 
     def test_below_weak_threshold(self):
         with pytest.raises(DomainError):
-            rs_weak_formula(4, 5, 6)  # needs n >= 7
+            formula_value(5, 6, 4)  # needs n >= 7
 
     def test_t_equal_m_equal_3_deferred(self):
-        # deferred to the logarithmic law
-        for n in range(3, 200):
-            assert rs_weak_formula(3, 3, n) == rs3_formula(n)
         with pytest.raises(DomainError):
-            rs_weak_formula(3, 3, 2)
+            formula_value(3, 2, 3)
 
     @pytest.mark.parametrize("m", range(4, 10))
     def test_matches_rainbow_at_t_equal_m(self, m):
-        for n in range(min_n_rainbow(m), min_n_rainbow(m) + 40):
-            assert rs_weak_formula(m, m, n) == rs_formula(m, n)
+        # the rainbow closed form, written out apart from the weak one
+        for n in range(min_n_weak(m, m), min_n_weak(m, m) + 40):
+            rainbow = -(-((m - 3) * n + m * (m - 1) // 2) // (m - 2))
+            assert formula_value(m, n, m) == rainbow
 
     @pytest.mark.parametrize("m", range(4, 10))
     def test_t3_is_m_for_every_n(self, m):
         for n in range(min_n_weak(3, m), min_n_weak(3, m) + 50):
-            assert rs_weak_formula(3, m, n) == m
+            assert formula_value(m, n, 3) == m
 
     def test_monotone_in_t(self):
         rng = random.Random(7)
         for _ in range(200):
             m = rng.randint(4, 12)
-            n = rng.randint(min_n_rainbow(m), 4 * min_n_rainbow(m))
-            values = [rs_weak_formula(t, m, n) for t in range(2, m + 1)]
+            n = rng.randint(min_n_weak(m, m), 4 * min_n_weak(m, m))
+            values = [formula_value(m, n, t) for t in range(2, m + 1)]
             assert values == sorted(values)
 
 
@@ -197,7 +199,7 @@ class TestRootBounds:
             widest = max(
                 min(n, m - t + s) - max(f, n - (m - t + s)) for f, s in _placements(t - 2, n)
             )
-            assert max(0, widest) + t - 1 == rs_weak_formula(t, m, n) - 1, n
+            assert max(0, widest) + t - 1 == formula_value(m, n, t) - 1, n
 
     @pytest.mark.parametrize("m,top", [(4, 120), (5, 80), (6, 60), (7, 45)])
     def test_lift_gives_the_rainbow_value(self, m, top):
@@ -206,12 +208,13 @@ class TestRootBounds:
         # into s0 chains, e of q + 1 positions and s0 - e of q with q, e =
         # divmod(N, s0); no two new colors are s0 apart, so a chain of L
         # positions holds ceil(L / 2) of them
-        for n in range(min_n_rainbow(m), top + 1):
+        for n in range(min_n_weak(m, m), top + 1):
             most = 0
             for f, s in _placements(m - 3, n):
                 q, e = divmod(n - f, 1 + s)
                 most = max(most, e * (q + 2 >> 1) + (1 + s - e) * (q + 1 >> 1))
-            assert most == rs_weak_formula(m, m, n) - (m - 1), n
+            assert most == formula_value(m, n) - (m - 1), n
+
 
 class TestFrontDoor:
     def test_dispatch(self):
@@ -221,7 +224,7 @@ class TestFrontDoor:
         assert formula_value(6, 6, t=2) == 4
         assert formula_value(3, 10, t=3) == 5
         assert formula_value(5, 10, t=4) == 9
-        assert formula_value(4, 50, t=4) == rs_formula(4, 50)
+        assert formula_value(4, 50, t=4) == formula_value(4, 50) == 28
 
 
 class TestProblemParams:
@@ -253,7 +256,6 @@ _ONES = canonicalize([1] * 20)
 _TAKES_M_AND_T = {
     "check_params": lambda m, t: check_params(m, t, 20),
     "min_n_weak": lambda m, t: min_n_weak(t, m),
-    "rs_weak_formula": lambda m, t: rs_weak_formula(t, m, 20),
     "formula_value": lambda m, t: formula_value(m, 20, t),
     "formula_description": lambda m, t: formula_description(m, t),
     "has_t_colored_solution": lambda m, t: has_t_colored_solution(_ONES, m, t),
@@ -264,8 +266,6 @@ _TAKES_M_AND_T = {
 # and every one that takes m, those without t ignoring it
 _TAKES_M = {
     **_TAKES_M_AND_T,
-    "min_n_rainbow": lambda m, t: min_n_rainbow(m),
-    "rs_formula": lambda m, t: rs_formula(m, 20),
     "enumerate_solutions": lambda m, t: list(enumerate_solutions(m, 20)),
     "count_solutions": lambda m, t: count_solutions(m, 20),
     "index_solutions_by_total": lambda m, t: index_solutions_by_total(m, 20),
@@ -284,3 +284,41 @@ class TestOneDomain:
     def test_rejects_t_above_m(self, name):
         with pytest.raises(DomainError, match=r"t must lie in \[\d, m\] = \[\d, 4\], got 5"):
             _TAKES_M_AND_T[name](4, 5)
+
+
+PUBLIC = [
+    "BudgetExceeded", "Coloring", "ColoringParseError", "ComputedNumber",
+    "DomainError", "Outcome", "RainbowSchurError", "SchurSolution",
+    "SearchBudget", "Verdict", "all_colorings_good", "canonicalize",
+    "check_params", "coloring_to_json", "construct_rainbow_lower",
+    "construct_weak_lower", "count_solutions", "enumerate_solutions",
+    "formula_description", "formula_value", "has_t_colored_solution",
+    "index_solutions_by_total", "max_solution_colors", "min_n_weak",
+    "parse_coloring", "search_rs",
+]
+
+
+class TestPublicSurface:
+    """Every export is deliberate, and the domain tables above name every
+    public function that takes m, or m and t."""
+
+    def test_exports(self):
+        assert rschur.__all__ == PUBLIC
+        for name in PUBLIC:
+            assert getattr(rschur, name) is not None
+
+    def test_domain_tables_cover_every_function(self):
+        functions = {
+            name: inspect.signature(obj).parameters
+            for name in rschur.__all__
+            if callable(obj := getattr(rschur, name)) and not inspect.isclass(obj)
+        }
+        assert {name for name, params in functions.items() if "m" in params} == set(_TAKES_M)
+        assert {
+            name for name, params in functions.items() if {"m", "t"} <= params.keys()
+        } == set(_TAKES_M_AND_T)
+
+    def test_readme_examples_run(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        failed, tried = doctest.testfile(str(readme), module_relative=False)
+        assert tried > 0 and failed == 0

@@ -27,12 +27,10 @@ from rschur import (
     SearchBudget,
     all_colorings_good,
     construct_rainbow_lower,
+    canonicalize,
     enumerate_solutions,
+    formula_value,
     has_t_colored_solution,
-    merge_classes,
-    rs3_formula,
-    rs_formula,
-    rs_weak_formula,
     search_rs,
 )
 
@@ -238,7 +236,7 @@ class TestBudgets:
         # every stored entry is kept
         entries = sum(map(len, search_module._closers(5, 3, 16, None)))
         monkeypatch.setattr(search_module, "DEFAULT_INDEX_CAP", entries)
-        assert search_rs(5, 3, 16).value == rs_weak_formula(3, 5, 16)
+        assert search_rs(5, 3, 16).value == formula_value(5, 16, 3)
         monkeypatch.setattr(search_module, "DEFAULT_INDEX_CAP", entries - 1)
         with pytest.raises(BudgetExceeded) as info:
             search_rs(5, 3, 16)
@@ -546,13 +544,13 @@ class TestSearchRs:
 
     def test_agrees_with_formulas(self):
         for n in range(3, 13):
-            assert search_rs(3, 3, n).value == rs3_formula(n)
-        assert search_rs(4, 4, 7).value == rs_formula(4, 7)
+            assert search_rs(3, 3, n).value == formula_value(3, n)
+        assert search_rs(4, 4, 7).value == formula_value(4, 7)
 
     def test_rainbow_log_law_to_256(self):
         # every n up to 64, and both sides of the jumps at 128 and 256
         for n in [*range(3, 65), 127, 128, 255, 256]:
-            assert search_rs(3, 3, n, SearchBudget(max_nodes=10_000)).value == rs3_formula(n), n
+            assert search_rs(3, 3, n, SearchBudget(max_nodes=10_000)).value == formula_value(3, n), n
 
     def test_unattainable_instances(self):
         assert search_rs(4, 4, 5).value is None
@@ -573,7 +571,7 @@ class TestSearchRs:
 
     def test_counterexample_at_every_level_below_the_value(self):
         result = search_rs(4, 4, 8)
-        assert result.value == rs_formula(4, 8) == 7
+        assert result.value == formula_value(4, 8) == 7
         for r in range(2, 7):
             witness = all_colorings_good(4, 4, 8, r).witness
             assert witness.r == r
@@ -589,7 +587,7 @@ class TestSearchRs:
         value = search_rs(3, 3, 10).value
         for r in range(3, value):
             witness = all_colorings_good(3, 3, 10, r).witness
-            merged = merge_classes(witness, 1, 2)
+            merged = canonicalize([1 if col == 2 else col for col in witness.colors])
             assert merged.r == r - 1
             found, _ = has_t_colored_solution(merged, 3, 3)
             assert not found
