@@ -43,7 +43,12 @@ loop over positions, with the growth string as its odometer.  It visits
 colorings in lexicographic order of their growth strings and reports the
 lexicographically least counterexample.
 
-Each public call builds the solution index once, capped at
+Taken at the root, with every position open, the same bounds give the most
+colors a coloring without a t-colored solution can use.  That root bound
+refutes every larger r with no node and no index, and search_rs scans
+r = 2 up to it; a bound too loose could only cost scans, never a wrong value.
+
+Each public call that scans builds the solution index once, capped at
 equations.DEFAULT_INDEX_CAP entries, and hands it to the kernel for every r
 it scans.  The time limit is one absolute deadline on the time.monotonic()
 clock, read during the index build and the scan, and the node budget counts
@@ -162,6 +167,46 @@ def _closers(m: int, t: int, n: int, deadline: float | None) -> Closers:
     walk(m - 1, 1, 0, ())
     # below t = m, tuples with different repeats can share values and total
     return closers if step else [list(dict.fromkeys(entries)) for entries in closers]
+
+
+def _most_colors(m: int, t: int, n: int) -> int:
+    """The most colors a coloring of [1, n] with no t-colored solution can
+    use, by the first-position lemmas alone with every position open.  At
+    m = t = 3 first positions at least double.  Elsewhere colors 1..k+1
+    first appear at 1 < f_2 < ... < f_{k+1}, and the sum s of f_2..f_{k+1}
+    bounds the later new colors:
+    - below t = m, k = t - 2: they lie in the window (max(f_{t-1}, n - s1),
+      min(n, s1)], s1 = m - t + s;
+    - at t = m, k = m - 3: no two are s0 = 1 + s apart, so the N = n -
+      f_{m-2} positions after f_{m-2} fall into s0 chains, e of q + 1
+      positions and s0 - e of q with q, e = divmod(N, s0), and a chain of
+      L positions holds ceil(L / 2) of them.
+    For a last first position p the sums s fill an interval, so one loop
+    over p finds the most; at t = m it stops once the positions after p
+    cannot beat the best room.  Reads no deadline and spends no node.
+    """
+    if m == t == 3:
+        return n.bit_length()
+    k = t - 2 if t < m else m - 3
+    if n <= k:
+        return n
+    # the j first positions strictly between 1 and p sum to lo..hi; at
+    # k = 0, p = 1 and j = -1 make both -1, so s = p + hi = 0
+    j = k - 1
+    lo = j * (j + 3) // 2
+    best = 0
+    for p in range(k + 1, n + 1) if k else (1,):
+        hi = j * (2 * p - j - 1) // 2
+        if t < m:
+            s1 = m - t + p + hi
+            best = max(best, min(n, s1) - max(p, n - s1))
+            continue
+        if n - p <= best:
+            break
+        for s0 in range(1 + p + lo, 2 + p + hi):
+            q, e = divmod(n - p, s0)
+            best = max(best, e * (q + 2 >> 1) + (s0 - e) * (q + 1 >> 1))
+    return k + 1 + best
 
 
 def _search(
@@ -311,13 +356,16 @@ def all_colorings_good(
 
     Enumerates canonical restricted growth strings of length n reaching
     exactly r colors; the lexicographically least coloring without such a
-    solution is returned as a counterexample.  Raises BudgetExceeded rather
-    than ever returning a verdict from a partial scan.
+    solution is returned as a counterexample.  An r above the root bound is
+    ALL_GOOD with no node spent and no index built.  Raises BudgetExceeded
+    rather than ever returning a verdict from a partial scan.
     """
     check_params(m, t, n)
     if not 1 <= r <= n:
         raise DomainError(f"r must lie in [1, n] = [1, {n}], got {r}")
     budget = budget or SearchBudget()
+    if r > _most_colors(m, t, n):
+        return Verdict(Outcome.ALL_GOOD, None, 0, 0)
     deadline = time.monotonic() + budget.time_limit if budget.time_limit is not None else None
     # with fewer than t colors no solution can show t, so no prune can fire
     # and every complete coloring is a counterexample: the index is not needed
@@ -334,8 +382,10 @@ def search_rs(m: int, t: int, n: int, budget: SearchBudget | None = None) -> Com
 
     Returns value None when n < min_n_weak(t, m): then no solution in [1, n]
     has t distinct values, so none can show t colors and no r works.
-    Otherwise scans r = 2, 3, ... and stops at the first ALL_GOOD verdict,
-    which is correct because merging two classes of a counterexample yields
+    Otherwise scans r = 2, 3, ... up to the root bound, the most colors the
+    first-position lemmas allow, and stops at the first ALL_GOOD verdict;
+    when every scan finds a counterexample, the value is the bound plus one.
+    That is correct because merging two classes of a counterexample yields
     a counterexample one color down: colorings without t-colored solutions
     exist at every r below the answer.  The attached witness is the
     counterexample found at value - 1 (the monochromatic coloring when value
@@ -348,17 +398,17 @@ def search_rs(m: int, t: int, n: int, budget: SearchBudget | None = None) -> Com
     budget = budget or SearchBudget()
     if n < min_n_weak(t, m):
         return ComputedNumber(None, None, 0)
+    most = _most_colors(m, t, n)
     deadline = time.monotonic() + budget.time_limit if budget.time_limit is not None else None
-    closers = _closers(m, t, n, deadline)
+    # every r scanned is at most `most`, so below t the index is not needed
+    closers = _closers(m, t, n, deadline) if most >= t else [[]] * (n + 1)
     total_nodes = 0
-    previous = (1,) * n
-    for r in range(2, n + 1):
-        found, nodes = _search(closers, m, t, n, r, budget, total_nodes, deadline)
+    # r colors have a counterexample, previous, and r + 1 are scanned next
+    r, previous = 1, (1,) * n
+    while r < most:
+        found, nodes = _search(closers, m, t, n, r + 1, budget, total_nodes, deadline)
         total_nodes += nodes
         if found is None:
-            witness = Coloring(n=n, colors=previous, r=r - 1)
-            return ComputedNumber(r, witness, total_nodes)
-        previous = found
-    raise AssertionError(
-        "unreachable: the all-singleton coloring contains a t-colored solution"
-    )
+            break
+        r, previous = r + 1, found
+    return ComputedNumber(r + 1, Coloring(n=n, colors=previous, r=r), total_nodes)

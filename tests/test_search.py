@@ -31,6 +31,7 @@ from rschur import (
     enumerate_solutions,
     formula_value,
     has_t_colored_solution,
+    min_n_weak,
     search_rs,
 )
 
@@ -199,26 +200,30 @@ class TestIndex:
 
 class TestBudgets:
     def test_node_budget_raises_with_frontier(self):
-        # RS_5(19) = 16: the scan at r = 16 takes 56 nodes
+        # RS_5(19) = 16: the scan at r = 15 goes straight down in 19 nodes
         with pytest.raises(BudgetExceeded) as info:
-            all_colorings_good(5, 5, 19, 16, SearchBudget(max_nodes=5))
+            all_colorings_good(5, 5, 19, 15, SearchBudget(max_nodes=5))
         exc = info.value
-        assert exc.nodes > 5
-        assert isinstance(exc.frontier, tuple) and exc.frontier
-        assert all(isinstance(c, int) for c in exc.frontier)
+        assert exc.nodes == 6
+        assert exc.frontier == (1, 1, 1, 1, 1, 2)
 
     def test_time_limit_raises(self):
-        # the scan takes 9 nodes; the clock is read on the first
+        # the scan takes 16 nodes; the clock is read on the first
         with pytest.raises(BudgetExceeded) as info:
-            all_colorings_good(3, 2, 16, 8, SearchBudget(time_limit=1e-6))
+            all_colorings_good(4, 3, 16, 3, SearchBudget(time_limit=1e-6))
         assert (info.value.nodes, info.value.frontier) == (1, (1,))
 
-    def test_time_limit_bounds_the_whole_call(self):
-        # the scan takes 2,366,922 nodes, about 5.5 s on two cores; the limit
-        # stops it part way
-        budget = SearchBudget(time_limit=0.5)
-        with pytest.raises(BudgetExceeded):
-            all_colorings_good(6, 6, 60, 49, budget)
+    def test_time_limit_bounds_the_whole_call(self, monkeypatch):
+        # the scan takes 5,000 nodes and reads the clock on nodes 1 and
+        # 4,097; a clock that jumps past the deadline after the first read
+        # of the scan stops it at the second
+        ticks = iter([0.0, 0.0])
+        clock = types.SimpleNamespace(monotonic=lambda: next(ticks, 1.0))
+        monkeypatch.setattr(search_module, "time", clock)
+        with pytest.raises(BudgetExceeded) as info:
+            all_colorings_good(3, 3, 5000, 2, SearchBudget(time_limit=0.5))
+        assert info.value.nodes == 4097
+        assert info.value.frontier == (1,) * 4097
 
     def test_time_limit_covers_the_index_build(self, monkeypatch):
         # a clock that jumps past the deadline right after the call starts:
@@ -245,11 +250,12 @@ class TestBudgets:
             all_colorings_good(5, 3, 16, 3)
 
     def test_search_rs_budget_covers_every_r(self):
-        # r = 2..27 take 36 nodes each and r = 28 takes 2,035: each fits in
-        # 2,500 alone, but together they do not
+        # r = 2..27 take 36 nodes each and the root bound refutes r = 28:
+        # each fits in 500 alone, but the fourteenth does not fit after
+        # thirteen
         with pytest.raises(BudgetExceeded) as info:
-            search_rs(5, 5, 36, SearchBudget(max_nodes=2500))
-        assert info.value.nodes == 2501
+            search_rs(5, 5, 36, SearchBudget(max_nodes=500))
+        assert info.value.nodes == 501
         # r = 2 takes exactly 7 nodes, so the budget runs out at the end of
         # an r; the first node of r = 3 is the one past the budget
         with pytest.raises(BudgetExceeded) as info:
@@ -258,10 +264,10 @@ class TestBudgets:
         assert info.value.frontier
 
     def test_node_budget_covers_the_whole_call(self):
-        # the scan takes 8,177 nodes; the node past the budget stops it
+        # the scan takes 78 nodes; the node past the budget stops it
         with pytest.raises(BudgetExceeded) as info:
-            all_colorings_good(5, 5, 40, 30, SearchBudget(max_nodes=3000))
-        assert info.value.nodes > 3000
+            all_colorings_good(3, 3, 40, 6, SearchBudget(max_nodes=30))
+        assert info.value.nodes == 31
 
     def test_node_budget_semantics(self):
         # a budget of exactly the scan's N nodes changes nothing, and each
@@ -283,17 +289,20 @@ class TestBudgets:
                     assert info.value.nodes == b + 1, (m, t, n, r, b)
                     assert info.value.frontier > previous, (m, t, n, r, b)
                     previous = info.value.frontier
-        assert instances == 183
+        assert instances == 152
 
     def test_budget_propagates(self):
-        # the scan takes 8,177 nodes and the budget runs out below depth 8;
-        # the exception carries the node count and the frontier of the
-        # position loop at that node
-        budget = SearchBudget(max_nodes=2725)
+        # the scan takes 78 nodes and the budget runs out at position 28,
+        # where the witness has color 3; the exception carries the node
+        # count and the frontier of the position loop at that node
+        budget = SearchBudget(max_nodes=50)
         with pytest.raises(BudgetExceeded) as info:
-            all_colorings_good(5, 5, 40, 30, budget)
-        assert info.value.nodes == 2726
-        assert info.value.frontier == (1, 1, 2, 1, 2, 1, 2, 1, 2, 2, 1)
+            all_colorings_good(3, 3, 40, 6, budget)
+        assert info.value.nodes == 51
+        assert info.value.frontier == (
+            1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1, 5,
+            1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 1,
+        )
 
     def test_budget_validation(self):
         with pytest.raises(DomainError):
@@ -320,7 +329,19 @@ class TestBudgets:
         assert str(clone) == str(exc)
 
 
-# (m, t, n, value, nodes, one-thread witness)
+def _upward_scan(m, t, n, top, budget=SearchBudget()):
+    """Nodes the kernel spends on each r = 2..top of (m, t, n), one scan per
+    r on one index, with the budget shared over the scans as search_rs
+    shares it."""
+    closers = search_module._closers(m, t, n, None)
+    scans = []
+    for r in range(2, top + 1):
+        _, nodes = search_module._search(closers, m, t, n, r, budget, sum(scans), None)
+        scans.append(nodes)
+    return scans
+
+
+# (m, t, n, value, nodes of the kernel's scans of r = 2..value, witness)
 _PINNED = [
     (3, 3, 18, 6, 96, (1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1, 5, 1, 2)),
     (4, 4, 18, 12, 194, (1,) * 8 + tuple(range(2, 12))),
@@ -355,15 +376,24 @@ _SMALL_TOTALS = [
 class TestNodeCounts:
     """Node counts are deterministic, so they are pinned exactly: a change
     to the kernel that visits other nodes shows here even when every
-    verdict still agrees."""
+    verdict still agrees.  The pins count the kernel's scans through the
+    value, as search_rs made them before the root bound; search_rs now
+    spends every scan but the last, which the bound refutes with no node."""
 
     @staticmethod
-    def _check(m, t, n, value, nodes, witness):
-        result = search_rs(m, t, n)
-        assert (result.value, result.nodes, result.witness.colors) == (value, nodes, witness)
+    def _check(m, t, n, value, nodes, witness, budget=SearchBudget()):
+        scans = _upward_scan(m, t, n, value, budget)
+        assert sum(scans) == nodes
+        result = search_rs(m, t, n, budget)
+        assert (result.value, result.nodes, result.witness.colors) == (
+            value,
+            nodes - scans[-1],
+            witness,
+        )
         # threads is accepted and changes nothing
         par = search_rs(m, t, n, SearchBudget(threads=2))
-        assert (par.value, par.nodes, par.witness) == (value, nodes, result.witness)
+        assert (par.value, par.nodes, par.witness) == (value, result.nodes, result.witness)
+        return result
 
     @pytest.mark.parametrize("m,t,n,value,nodes,witness", _PINNED)
     def test_search_rs_capacity(self, m, t, n, value, nodes, witness):
@@ -376,8 +406,7 @@ class TestNodeCounts:
         # without the look-ahead the m >= 4 rows take 260,748 nodes and more,
         # and without the window (4, 3, 40) takes 29,126; the budget makes a
         # weaker rule fail fast instead of running for minutes
-        result = search_rs(m, t, n, SearchBudget(max_nodes=10_000))
-        assert (result.value, result.nodes, result.witness.colors) == (value, nodes, witness)
+        result = self._check(m, t, n, value, nodes, witness, SearchBudget(max_nodes=10_000))
         found, _ = has_t_colored_solution(result.witness, m, t)
         assert not found
 
@@ -398,13 +427,19 @@ class TestNodeCounts:
     @pytest.mark.parametrize("m,t,total", _SMALL_TOTALS)
     def test_small_instances_node_totals(self, m, t, total):
         # TestEngineModes checks the verdicts against the brute reference;
-        # this pins the work the kernel spends reaching them
-        nodes = sum(
-            all_colorings_good(m, t, n, r).nodes_explored
-            for n in range(1, 12)
-            for r in range(1, n + 1)
-        )
-        assert nodes == total
+        # this pins the work the kernel spends reaching them, and that
+        # all_colorings_good spends the same below the root bound and no
+        # node above it
+        kernel = 0
+        for n in range(1, 12):
+            closers = search_module._closers(m, t, n, None)
+            most = search_module._most_colors(m, t, n)
+            for r in range(1, n + 1):
+                _, nodes = search_module._search(closers, m, t, n, r, SearchBudget(), 0, None)
+                kernel += nodes
+                spent = all_colorings_good(m, t, n, r).nodes_explored
+                assert spent == (nodes if r <= most else 0), (n, r)
+        assert kernel == total
 
     @pytest.mark.parametrize(
         "n,value,nodes,witness",
@@ -525,6 +560,91 @@ class TestWindowLemma:
         assert (colorings, positions) == (57_335, 42_732)
 
 
+# search_rs nodes of TestSearchRs.test_values' instances
+_VALUE_NODES = {
+    (3, 3, 3): 3,
+    (3, 3, 8): 29,
+    (4, 4, 6): 24,
+    (4, 3, 6): 12,
+    (6, 2, 6): 16,
+    (5, 2, 6): 0,
+}
+
+
+class TestRootBound:
+    """_most_colors, the most colors the first-position lemmas leave a
+    coloring with no t-colored solution, checked against the brute oracle
+    and the closed forms; search_rs and all_colorings_good never scan past
+    it."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_matches_the_brute_maximum(self, m):
+        # the most colors of any coloring of [1, n] with no t-colored
+        # solution, by the unpruned reference: the bound is sound, and
+        # tight, below min_n_weak as well
+        for t in range(2, m + 1):
+            for n in range(1, 10):
+                top = next(r for r in range(n, 0, -1) if brute_scan(m, t, n, r)[0])
+                assert search_module._most_colors(m, t, n) == top, (t, n)
+
+    @pytest.mark.parametrize("m", range(3, 10))
+    def test_is_the_value_less_one(self, m):
+        for t in range(2, m + 1):
+            for n in range(min_n_weak(t, m), 61):
+                assert search_module._most_colors(m, t, n) == formula_value(m, n, t) - 1, (t, n)
+
+    def test_lift_stops_at_the_room_left(self, monkeypatch):
+        # the lift loop ends at the first p whose n - p positions cannot
+        # beat the best room found; counted by the chain splits it
+        # evaluates, 120 at (5, 5, 50) and 4,845 at (7, 7, 300), against
+        # 1,176 and 131,276 for a loop over every p.  At (4, 4, 100) the
+        # loop reaches n - p = best, where it must stop too: one p more
+        # takes 49
+        splits = []
+
+        def counted(a, b):
+            splits.append(b)
+            return divmod(a, b)
+
+        monkeypatch.setattr(search_module, "divmod", counted, raising=False)
+        for m, n, evaluated in [(4, 100, 48), (5, 50, 120), (7, 300, 4_845)]:
+            splits.clear()
+            assert search_module._most_colors(m, m, n) == formula_value(m, n) - 1
+            assert len(splits) == evaluated, (m, n)
+
+    def test_scans_below_the_value_take_the_least_coloring(self):
+        # for m >= 4 and t >= 3, every r below the value admits 1^(n-r+1)
+        # 2 3 ... r, the first coloring in growth-string order, and the scan
+        # reaches it going straight down, one node per position
+        rows = 0
+        for m in range(4, 8):
+            for t in range(3, m + 1):
+                for n in range(min_n_weak(t, m), 31):
+                    closers = search_module._closers(m, t, n, None)
+                    for r in range(2, formula_value(m, n, t)):
+                        found, nodes = search_module._search(
+                            closers, m, t, n, r, SearchBudget(), 0, None
+                        )
+                        assert found == (1,) * (n - r + 1) + tuple(range(2, r + 1)), (m, t, n, r)
+                        assert nodes == n, (m, t, n, r)
+                        rows += 1
+        assert rows == 3_183
+
+    def test_refutes_the_value_without_the_index(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("index built")
+
+        monkeypatch.setattr(search_module, "_closers", unbuilt)
+        for m, t, n in [(3, 3, 40), (4, 3, 16), (6, 6, 60), (7, 2, 8)]:
+            v = all_colorings_good(m, t, n, formula_value(m, n, t))
+            assert v == search_module.Verdict(Outcome.ALL_GOOD, None, 0, 0)
+        # from n = 2m - 4 on, t = 2 leaves one color, so search_rs scans
+        # nothing: (9, 2, 60) would index 288,548 entries for no node
+        for m, n in [(3, 2), (7, 10), (9, 60)]:
+            result = search_rs(m, 2, n)
+            assert (result.value, result.witness.colors, result.nodes) == (2, (1,) * n, 0)
+
+
 class TestSearchRs:
     @pytest.mark.parametrize(
         "m,t,n,expected",
@@ -540,7 +660,9 @@ class TestSearchRs:
     def test_values(self, m, t, n, expected):
         result = search_rs(m, t, n)
         assert result.value == expected
-        assert result.nodes > 0
+        # the root bound refutes the value with no node: only the scans
+        # below it count, and at (5, 2, 6) there are none
+        assert result.nodes == _VALUE_NODES[m, t, n]
 
     def test_agrees_with_formulas(self):
         for n in range(3, 13):
