@@ -21,32 +21,24 @@ A closed position stays closed along the path, and a branch with `used`
 colors is abandoned when fewer than r - used positions ahead are open.  So
 the pass after coloring x is skipped while fewer than t - 1 colors are in
 use, and it stops once it has closed more positions than the branch can
-spare.  The branch is also abandoned when a greedy walk over the open
-positions from x finds fewer than r - used places for the missing colors.
-It takes the first open position p it may, then goes on by one of two step
-rules.  At m = t = 3 a new color at p closes p+1..2p-1 (a + p with a < p
-shows two colors), so the walk goes on from 2p.  Elsewhere, for t >= 3, once
-colors 1..t-2 are in use, first at 1 < f_2 < ... < f_{t-2}, let
-s0 = (m - t + 1) + f_2 + ... + f_{t-2}.  A new color at p closes p + s0,
-since the solution with m - t + 1 ones, f_2..f_{t-2} and p shows t - 1
-colors; so the walk bars p + s0 and goes on from p + 1.  Greedy is exact
-under both rules: it finds the longest doubling chain, and it takes
-ceil(L / 2) of each run of L open positions y, y + s0, ..., the most such a
-run can hold.  Below t = m, once colors 1..t-1 are in use, the walk keeps to
-the window (n - s1, s1], s1 = (m - t) + f_2 + ... + f_{t-1}: a new color at
-p > s1 shows t colors with m - t ones, f_2..f_{t-1} and p - s1, and one at
-p <= n - s1 with those summands and p, total p + s1.  The walk also runs at
-s1 <= n - x; past that, the totals s1 + q, q < x, have closed (s1, n].
+spare.  At m = t = 3 a new color at p closes p+1..2p-1 (a + p with a < p
+shows two colors), so the branch is also abandoned when a greedy walk over
+the open positions from x, taking the first open p and going on from 2p,
+finds fewer than r - used places for the missing colors.  Greedy finds the
+longest doubling chain, so the walk is exact.  Elsewhere the kernel uses no
+first-position lemma: it finds counterexamples by exact closings and the
+count of open positions alone.
 
 One kernel, a depth-first scan in one process, does all the scanning: one
 loop over positions, with the growth string as its odometer.  It visits
 colorings in lexicographic order of their growth strings and reports the
 lexicographically least counterexample.
 
-Taken at the root, with every position open, the same bounds give the most
-colors a coloring without a t-colored solution can use.  That root bound
-refutes every larger r with no node and no index, and search_rs scans
-r = 2 up to it; a bound too loose could only cost scans, never a wrong value.
+The first-position lemmas live in _most_colors alone: taken at the root,
+with every position open, they give the most colors a coloring without a
+t-colored solution can use.  That root bound refutes every larger r with no
+node and no index, and search_rs scans r = 2 up to it; a bound too loose
+could only cost scans, never a wrong value.
 
 Each public call that scans builds the solution index once, capped at
 equations.DEFAULT_INDEX_CAP entries, and hands it to the kernel for every r
@@ -89,7 +81,10 @@ class Verdict:
     outcome: Outcome
     witness: Coloring | None
     nodes_explored: int
-    leaves: int
+
+    @property
+    def leaves(self) -> int:
+        return int(self.outcome is Outcome.COUNTEREXAMPLE)
 
 
 @dataclass(frozen=True)
@@ -240,39 +235,29 @@ def _search(
     allowed = [-1] * (n + 1)
     trail: list[tuple[int, int]] = []  # (y, old allowed[y]) along the path, for undo
     # saved[x]: on reaching x, the colors in use, the open positions in
-    # [x, n], s0, s1 and the trail length, which x's closings later extend
-    saved: list[tuple[int, int, int, int, int]] = [(0, 0, 0, 0, 0)] * (n + 1)
+    # [x, n] and the trail length, which x's closings later extend
+    saved: list[tuple[int, int, int]] = [(0, 0, 0)] * (n + 1)
     left = budget.max_nodes - spent
     nodes = 0
-    doubling, weak = m == t == 3, t < m
+    doubling = m == t == 3
     x = 1
     used = 0
     free = n
-    s0, s1 = m - t, m - t - 1  # f_1 = 1 joins s1, and s0 at t >= 3
     while True:
-        saved[x] = (used, free, s0, s1, len(trail))
+        saved[x] = (used, free, len(trail))
         need = r - used
-        # the greedy walk: each missing color takes its own open position
-        # p, then the walk goes on from 2p at m = t = 3, or bars p + s0 and
-        # goes on from p + 1 once colors 1..t-2 are in use.  With 2 * need
-        # open positions, or at s0 > n - x, no bar can cost a color; below
-        # t = m, once colors 1..t-1 are in use, p stays in (n - s1, s1]
+        # each missing color takes its own open position; at m = t = 3 the
+        # walk takes the first open p and goes on from 2p
         viable = free >= need
-        if viable and (
-            doubling
-            or weak and used >= t - 1 and s1 <= n - x
-            or t >= 3 and used >= t - 2 and free < 2 * need and s0 <= n - x
-        ):
-            barred = set()
-            p, end = (max(x, n - s1 + 1), min(n, s1)) if weak and used >= t - 1 else (x, n)
+        if viable and doubling:
+            p = x
             for _ in range(need):
-                while p <= end and (allowed[p] != -1 or p in barred):
+                while p <= n and allowed[p] != -1:
                     p += 1
-                if p > end:
+                if p > n:
                     viable = False
                     break
-                barred.add(p + s0)
-                p = 2 * p if doubling else p + 1
+                p *= 2
         # a pruned x starts past its last color; an old color leaves
         # `used` as it is, so it is only tried while enough positions
         # remain for the missing colors
@@ -303,7 +288,7 @@ def _search(
             x -= 1
             if not x:
                 return None, nodes
-            used, free, s0, s1, mark = saved[x]
+            used, free, mark = saved[x]
             for _ in range(len(trail) - mark):
                 y, old = trail.pop()
                 allowed[y] = old
@@ -335,10 +320,6 @@ def _search(
                             closings += 1
                             if closings > slack:
                                 break
-        if used < c < t:
-            s1 += x
-            if c < t - 1:
-                s0 += x
         x += 1
         used = now
         free -= closings
@@ -365,15 +346,15 @@ def all_colorings_good(
         raise DomainError(f"r must lie in [1, n] = [1, {n}], got {r}")
     budget = budget or SearchBudget()
     if r > _most_colors(m, t, n):
-        return Verdict(Outcome.ALL_GOOD, None, 0, 0)
+        return Verdict(Outcome.ALL_GOOD, None, 0)
     deadline = time.monotonic() + budget.time_limit if budget.time_limit is not None else None
     # with fewer than t colors no solution can show t, so no prune can fire
     # and every complete coloring is a counterexample: the index is not needed
     closers = _closers(m, t, n, deadline) if r >= t else [[]] * (n + 1)
     found, nodes = _search(closers, m, t, n, r, budget, 0, deadline)
     if found is None:
-        return Verdict(Outcome.ALL_GOOD, None, nodes, 0)
-    return Verdict(Outcome.COUNTEREXAMPLE, Coloring(n=n, colors=found, r=r), nodes, 1)
+        return Verdict(Outcome.ALL_GOOD, None, nodes)
+    return Verdict(Outcome.COUNTEREXAMPLE, Coloring(n=n, colors=found, r=r), nodes)
 
 
 def search_rs(m: int, t: int, n: int, budget: SearchBudget | None = None) -> ComputedNumber:

@@ -344,85 +344,68 @@ def _upward_scan(m, t, n, top, budget=SearchBudget()):
 # (m, t, n, value, nodes of the kernel's scans of r = 2..value, witness)
 _PINNED = [
     (3, 3, 18, 6, 96, (1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1, 5, 1, 2)),
-    (4, 4, 18, 12, 194, (1,) * 8 + tuple(range(2, 12))),
-    (5, 5, 19, 16, 322, (1,) * 5 + tuple(range(2, 16))),
-    (4, 3, 16, 4, 55, (1,) * 14 + (2, 3)),
-    (5, 4, 15, 11, 145, (1,) * 6 + tuple(range(2, 11))),
-    (4, 4, 28, 17, 444, (1,) * 13 + tuple(range(2, 17))),
-    (4, 4, 34, 20, 642, (1,) * 16 + tuple(range(2, 20))),
+    (4, 4, 18, 12, 849, (1,) * 8 + tuple(range(2, 12))),
+    (5, 5, 19, 16, 595, (1,) * 5 + tuple(range(2, 16))),
+    (4, 3, 16, 4, 181, (1,) * 14 + (2, 3)),
+    (5, 4, 15, 11, 258, (1,) * 6 + tuple(range(2, 11))),
+    (4, 4, 28, 17, 19_302, (1,) * 13 + tuple(range(2, 17))),
+    (4, 4, 34, 20, 141_425, (1,) * 16 + tuple(range(2, 20))),
 ]
 
-# the m >= 4 frontier, which the scan reaches only with the look-ahead rule,
-# and the weak t = 3 value, which it refutes in time only with the window
+# (m, t, n, value, search_rs nodes, witness) at the m >= 4 frontier and the
+# weak t = 3 value; the kernel's own scans of these values take from 6,400
+# nodes at (7, 3, 50) to more than 3,000,000 at (4, 4, 80) and (7, 4, 60)
 _FRONTIER = [
-    (4, 4, 40, 23, 876, (1,) * 19 + tuple(range(2, 23))),
-    (4, 4, 80, 43, 3_356, (1,) * 39 + tuple(range(2, 43))),
-    (5, 5, 40, 30, 9_297, (1,) * 12 + tuple(range(2, 30))),
-    (7, 4, 60, 35, 2_032, (1,) * 27 + tuple(range(2, 35))),
-    (8, 5, 40, 31, 5_242, (1,) * 11 + tuple(range(2, 31))),
-    (4, 3, 40, 4, 151, (1,) * 38 + (2, 3)),
-    (7, 3, 50, 7, 329, (1,) * 45 + tuple(range(2, 7))),
+    (4, 4, 40, 23, 840, (1,) * 19 + tuple(range(2, 23))),
+    (4, 4, 80, 43, 3_280, (1,) * 39 + tuple(range(2, 43))),
+    (5, 5, 40, 30, 1_120, (1,) * 12 + tuple(range(2, 30))),
+    (7, 4, 60, 35, 1_980, (1,) * 27 + tuple(range(2, 35))),
+    (8, 5, 40, 31, 1_160, (1,) * 11 + tuple(range(2, 31))),
+    (4, 3, 40, 4, 80, (1,) * 38 + (2, 3)),
+    (7, 3, 50, 7, 250, (1,) * 45 + tuple(range(2, 7))),
 ]
 
 # (m, t, all_colorings_good nodes summed over every n <= 11 and r in [1, n])
 _SMALL_TOTALS = [
-    (3, 2, 121), (3, 3, 272),
-    (4, 2, 125), (4, 3, 310), (4, 4, 436),
-    (5, 2, 141), (5, 3, 320), (5, 4, 448), (5, 5, 491),
-    (6, 2, 178), (6, 3, 339), (6, 4, 463), (6, 5, 498), (6, 6, 506),
+    (3, 2, 311), (3, 3, 272),
+    (4, 2, 335), (4, 3, 569), (4, 4, 528),
+    (5, 2, 424), (5, 3, 452), (5, 4, 490), (5, 5, 493),
+    (6, 2, 817), (6, 3, 431), (6, 4, 479), (6, 5, 499), (6, 6, 506),
 ]
 
 
 class TestNodeCounts:
     """Node counts are deterministic, so they are pinned exactly: a change
     to the kernel that visits other nodes shows here even when every
-    verdict still agrees.  The pins count the kernel's scans through the
-    value, as search_rs made them before the root bound; search_rs now
-    spends every scan but the last, which the bound refutes with no node."""
+    verdict still agrees.  search_rs scans r = 2 below the value, and the
+    root bound refutes the value with no node; the kernel's own scan of the
+    value, which no public call makes, is pinned for the smaller rows."""
 
     @staticmethod
     def _check(m, t, n, value, nodes, witness, budget=SearchBudget()):
-        scans = _upward_scan(m, t, n, value, budget)
-        assert sum(scans) == nodes
         result = search_rs(m, t, n, budget)
-        assert (result.value, result.nodes, result.witness.colors) == (
-            value,
-            nodes - scans[-1],
-            witness,
-        )
+        assert (result.value, result.nodes, result.witness.colors) == (value, nodes, witness)
         # threads is accepted and changes nothing
         par = search_rs(m, t, n, SearchBudget(threads=2))
-        assert (par.value, par.nodes, par.witness) == (value, result.nodes, result.witness)
+        assert (par.value, par.nodes, par.witness) == (value, nodes, result.witness)
         return result
 
-    @pytest.mark.parametrize("m,t,n,value,nodes,witness", _PINNED)
-    def test_search_rs_capacity(self, m, t, n, value, nodes, witness):
-        # the full kernel: the capacity rule, at m = t = 3 the doubling rule,
-        # elsewhere the look-ahead rule and below t = m the window
-        self._check(m, t, n, value, nodes, witness)
+    @pytest.mark.parametrize("m,t,n,value,kernel,witness", _PINNED)
+    def test_search_rs_capacity(self, m, t, n, value, kernel, witness):
+        # the kernel: the capacity rule and, at m = t = 3, the doubling walk;
+        # search_rs spends every scan but the last
+        scans = _upward_scan(m, t, n, value)
+        assert sum(scans) == kernel
+        self._check(m, t, n, value, kernel - scans[-1], witness)
 
     @pytest.mark.parametrize("m,t,n,value,nodes,witness", _FRONTIER)
-    def test_lookahead_frontier(self, m, t, n, value, nodes, witness):
-        # without the look-ahead the m >= 4 rows take 260,748 nodes and more,
-        # and without the window (4, 3, 40) takes 29,126; the budget makes a
-        # weaker rule fail fast instead of running for minutes
+    def test_frontier_below_the_value(self, m, t, n, value, nodes, witness):
+        # every scan below the value goes straight down; the budget makes a
+        # scan that starts to backtrack fail fast instead of running for
+        # minutes
         result = self._check(m, t, n, value, nodes, witness, SearchBudget(max_nodes=10_000))
         found, _ = has_t_colored_solution(result.witness, m, t)
         assert not found
-
-    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
-    def test_window_ends_without_closings(self, m):
-        # with no solution indexed nothing closes, so only the walk prunes;
-        # with the index, the pass closes s1 + q for every colored q before
-        # the walk looks there, so only an empty index shows the window's
-        # ends exactly.  At t = 2, s1 = m - 2 and color 2 must first appear
-        # in (n - m + 2, m - 2]: empty at n = 2m - 4, where the first node
-        # refutes r = 2, and the one position m - 2 at n = 2m - 5
-        for n, refuted in [(2 * m - 4, True), (2 * m - 5, False)]:
-            found, nodes = search_module._search(
-                [[]] * (n + 1), m, 2, n, 2, SearchBudget(), 0, None
-            )
-            assert (found is None, nodes == 1) == (refuted, refuted), n
 
     @pytest.mark.parametrize("m,t,total", _SMALL_TOTALS)
     def test_small_instances_node_totals(self, m, t, total):
@@ -507,7 +490,7 @@ class TestDoublingLemma:
 
 
 class TestLookaheadLemma:
-    """The lemma behind the kernel's look-ahead rule, checked with the brute
+    """The lemma behind the root bound at t = m, checked with the brute
     oracle alone: in a coloring of [1, n] with no t-colored E_m solution and
     first occurrences f_1 = 1 < f_2 < ..., set s0 = (m - t + 1) + f_2 + ... +
     f_{t-2}.  Then for each color c >= t - 1, position f_c + s0 holds one of
@@ -535,13 +518,13 @@ class TestLookaheadLemma:
 
 
 class TestWindowLemma:
-    """The window lemma below t = m, checked with the brute oracle alone: in
-    a coloring of [1, n] with no t-colored E_m solution and first occurrences
-    f_1 = 1 < f_2 < ..., set s1 = (m - t) + f_2 + ... + f_{t-1}.  A color
-    first used at p > f_{t-1} has n - s1 < p <= s1.  Above s1, p is the total
-    of 1, f_2, ..., f_{t-1} and m - t further summands; at or below n - s1,
-    the m - t ones, f_2, ..., f_{t-1} and p sum to p + s1.  Either solution
-    shows t colors."""
+    """The window lemma behind the root bound below t = m, checked with the
+    brute oracle alone: in a coloring of [1, n] with no t-colored E_m
+    solution and first occurrences f_1 = 1 < f_2 < ..., set s1 = (m - t) +
+    f_2 + ... + f_{t-1}.  A color first used at p > f_{t-1} has n - s1 < p
+    <= s1.  Above s1, p is the total of 1, f_2, ..., f_{t-1} and m - t
+    further summands; at or below n - s1, the m - t ones, f_2, ..., f_{t-1}
+    and p sum to p + s1.  Either solution shows t colors."""
 
     def test_counterexamples_keep_new_colors_in_the_window(self):
         colorings = positions = 0
@@ -630,6 +613,27 @@ class TestRootBound:
                         rows += 1
         assert rows == 3_183
 
+    def test_kernel_refutes_the_value(self):
+        # the kernel shares no lemma with _most_colors, so its exhaustive
+        # scan at r = value, the bound plus one, checks the bound well past
+        # the brute oracle's n <= 9; merging classes carries a counterexample
+        # at any larger r down to the value, so none exists above it either
+        rows = nodes = 0
+        for m in range(4, 8):
+            for t in range(2, m + 1):
+                for n in range(min_n_weak(t, m), 25):
+                    value = formula_value(m, n, t)
+                    if value > n:
+                        continue
+                    closers = search_module._closers(m, t, n, None)
+                    found, spent = search_module._search(
+                        closers, m, t, n, value, SearchBudget(), 0, None
+                    )
+                    assert found is None, (m, t, n)
+                    rows += 1
+                    nodes += spent
+        assert (rows, nodes) == (295, 54_497)
+
     def test_refutes_the_value_without_the_index(self, monkeypatch):
         def unbuilt(*args):
             raise AssertionError("index built")
@@ -637,7 +641,7 @@ class TestRootBound:
         monkeypatch.setattr(search_module, "_closers", unbuilt)
         for m, t, n in [(3, 3, 40), (4, 3, 16), (6, 6, 60), (7, 2, 8)]:
             v = all_colorings_good(m, t, n, formula_value(m, n, t))
-            assert v == search_module.Verdict(Outcome.ALL_GOOD, None, 0, 0)
+            assert v == search_module.Verdict(Outcome.ALL_GOOD, None, 0)
         # from n = 2m - 4 on, t = 2 leaves one color, so search_rs scans
         # nothing: (9, 2, 60) would index 288,548 entries for no node
         for m, n in [(3, 2), (7, 10), (9, 60)]:
